@@ -23,7 +23,7 @@ from .frontier import (
     tsv_portfolio,
 )
 from .market_data import LossPanel, estimate_moments
-from .simplex import SimplexSolverConfig, eep_tsv_portfolio, eep_tsv_s_portfolio
+from .simplex import eep_tsv_portfolio, eep_tsv_s_portfolio
 
 __all__ = [
     "MODEL_ORDER",
@@ -39,18 +39,16 @@ __all__ = [
 
 MODEL_ORDER = ("MV", "TSV", "M_TSV_S", "EEP_TSV", "EEP_TSV_S")
 TRADING_DAYS_PER_YEAR = 252
-# lighter search settings than the solver defaults; one solve per model-day
-BACKTEST_MAX_ITERATIONS = 150
-BACKTEST_MULTISTARTS = 4
 
 
 @dataclass(frozen=True)
 class BacktestConfig:
     """Engine settings; defaults follow the package's documented example.
 
-    ``ridge=None`` selects the estimator's automatic diagonal lift.  The
-    same ``seed`` feeds every simplex solve, so a run is a pure function of
-    (panel, config).
+    ``ridge=None`` selects the estimator's automatic diagonal lift.  Every
+    solver is exact and deterministic, so a run is a pure function of the
+    panel and the other fields; ``seed`` is still accepted but no solver
+    reads it.
     """
 
     window: int = 252
@@ -64,6 +62,8 @@ class BacktestConfig:
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError(f"window must be at least 2, got {self.window}")
+        if not (math.isfinite(self.t) and math.isfinite(self.nu)):
+            raise ValueError(f"t and nu must be finite, got t={self.t}, nu={self.nu}")
         if not self.lam > 0.0:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         if not self.models:
@@ -112,12 +112,6 @@ class BacktestResult:
 
 
 def _solvers(cfg: BacktestConfig):
-    simplex_cfg = SimplexSolverConfig(
-        max_iterations=BACKTEST_MAX_ITERATIONS,
-        multistart_count=BACKTEST_MULTISTARTS,
-        seed=cfg.seed,
-    )
-
     def mv(model, fp):
         return classical_mv(fp, model, cfg.nu)
 
@@ -128,10 +122,10 @@ def _solvers(cfg: BacktestConfig):
         return m_tsv_s_portfolio(fp, model, cfg.nu, cfg.t)
 
     def eep_tsv(model, fp):
-        return eep_tsv_portfolio(model, cfg.t, cfg.lam, simplex_cfg)
+        return eep_tsv_portfolio(model, cfg.t, cfg.lam)
 
     def eep_tsv_s(model, fp):
-        return eep_tsv_s_portfolio(model, cfg.t, cfg.lam, simplex_cfg)
+        return eep_tsv_s_portfolio(model, cfg.t, cfg.lam)
 
     table = {
         "MV": mv,

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import importlib.resources
 import json
+import math
 import os
 import random
 from pathlib import Path
@@ -36,7 +37,7 @@ from .frontier import (
 )
 from .market_data import compute_losses, estimate_moments, load_price_panel
 from .oracle import MIN_SEARCH_BUDGET, brute_force_worst_case, partial_moments, witness_family
-from .simplex import SimplexSolverConfig, eep_tsv_portfolio, eep_tsv_s_portfolio
+from .simplex import eep_tsv_portfolio, eep_tsv_s_portfolio
 from .worst_case import (
     Family,
     MomentProfile,
@@ -46,6 +47,21 @@ from .worst_case import (
 )
 
 FAMILY_CHOICE = click.Choice([f.value for f in Family])
+
+
+class _FiniteFloat(click.ParamType):
+    """A float option that rejects nan and +/-inf, which click.FLOAT accepts."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        x = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
+
+
+FINITE_FLOAT = _FiniteFloat()
 
 # one-sided tolerances for the verify sweep, relative to sigma^2 + (t-mu)^2
 ORACLE_OVERSHOOT_TOL = 1e-6
@@ -105,7 +121,7 @@ def main() -> None:
     required=True,
     help="Loss standard deviation.",
 )
-@click.option("--t", type=float, required=True, help="Loss threshold.")
+@click.option("--t", type=FINITE_FLOAT, required=True, help="Loss threshold.")
 @click.option(
     "--lambda",
     "lam",
@@ -347,7 +363,7 @@ def cmd_frontier(prices, window, ridge):
 @main.command("optimize")
 @click.option("--prices", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--model", "model_name", type=click.Choice(MODEL_ORDER), required=True)
-@click.option("--t", type=float, default=-0.003, show_default=True, help="Loss threshold.")
+@click.option("--t", type=FINITE_FLOAT, default=-0.003, show_default=True, help="Loss threshold.")
 @click.option(
     "--lambda",
     "lam",
@@ -356,18 +372,18 @@ def cmd_frontier(prices, window, ridge):
     show_default=True,
     help="Budget for the EEP rules.",
 )
-@click.option("--nu", type=float, default=-0.001, show_default=True, help="Expected-loss cap.")
+@click.option(
+    "--nu", type=FINITE_FLOAT, default=-0.001, show_default=True, help="Expected-loss cap."
+)
 @click.option("--window", type=click.IntRange(min=2), default=None)
 @click.option("--ridge", default="auto", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def cmd_optimize(prices, model_name, t, lam, nu, window, ridge, seed):
+def cmd_optimize(prices, model_name, t, lam, nu, window, ridge):
     """Solve one portfolio rule on trailing sample moments; print JSON."""
-    seed = _resolve_seed(seed)
     try:
         _, model = _load_model(prices, window, ridge)
         if model_name in ("EEP_TSV", "EEP_TSV_S"):
             solver = eep_tsv_portfolio if model_name == "EEP_TSV" else eep_tsv_s_portfolio
-            port = solver(model, t, lam, SimplexSolverConfig(seed=seed))
+            port = solver(model, t, lam)
         else:
             fp = frontier_params(model)
             if model_name == "MV":
@@ -398,7 +414,9 @@ def cmd_optimize(prices, model_name, t, lam, nu, window, ridge, seed):
 )
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option(
+    "--seed", type=int, default=None, help="Override the config seed (no solver reads it)."
+)
 def cmd_backtest(prices, config_path, out_dir, seed):
     """Run the rolling backtest; write wealth.csv and summary.json under --out."""
     if config_path is None:

@@ -16,6 +16,10 @@ class InvalidProfile(WctsvError):
     """Moment profile violates its invariants (e.g. sigma <= 0)."""
 
 
+class InvalidThreshold(WctsvError):
+    """The loss threshold ``t`` must be a finite number."""
+
+
 class NonNegativeRequiresPositiveMean(WctsvError):
     """The non-negative family is only defined for mu > 0."""
 
@@ -65,7 +69,7 @@ class DegenerateMeans(WctsvError):
 
 
 class InfeasibleBudget(WctsvError):
-    """No portfolio satisfies the excess-profit feasibility screen."""
+    """The budget is below ``(t - min mu)_+``, so not every simplex portfolio meets it."""
 
 
 class NonConvergence(WctsvError):

@@ -1,11 +1,21 @@
 """Long-only portfolio selection against the budgeted worst-case objectives.
 
-Both solvers minimize a scalarization ``h(w^T mu, sqrt(w^T cov w))`` over
-the probability simplex.  The arbitrary-family objective is convex and
-differentiable, so projected gradient plus an active-set polish reaches
-KKT-verified precision.  The symmetric-family objective is only
-piecewise-smooth, so it gets multi-start projected subgradient descent with
-a pairwise golden-section polish and probe-based certification in tests.
+Both solvers minimize a scalarization ``h(xi, sigma)`` of the portfolio's
+expected loss ``xi = w^T mu`` and volatility ``sigma = sqrt(w^T cov w)``
+over the probability simplex.  Above the budget floor every branch of both
+objectives is non-decreasing in ``sigma`` for fixed ``xi`` and in ``xi``
+for fixed ``sigma``, so a minimizer lies on the lower half of the long-only
+minimum-variance frontier, from the long-only global minimum-variance
+portfolio down to ``xi = min mu``.  The feasibility screen tests ``min mu``,
+so every simplex portfolio meets the budget and the frontier needs no
+``xi >= t - lam`` cut.
+
+Markowitz's critical-line algorithm builds that half exactly as a chain of
+segments on which the weights are affine in ``xi`` and the variance is a
+quadratic in ``xi``.  Each solver evaluates its
+objective at every segment end and at the in-segment roots of the linear or
+quadratic equations that locate branch boundaries and stationary points,
+and keeps the smallest.  There is no search, seed or step size.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyUncertaintySet, InfeasibleBudget, NonConvergence
+from .errors import EmptyUncertaintySet, InfeasibleBudget, InvalidThreshold, NonConvergence
 from .frontier import MarketModel, Portfolio
 from .worst_case import (
     Family,
@@ -24,7 +34,6 @@ from .worst_case import (
 )
 
 __all__ = [
-    "SimplexSolverConfig",
     "check_regret_feasibility",
     "project_to_simplex",
     "eep_tsv_portfolio",
@@ -33,37 +42,18 @@ __all__ = [
 
 SIGMA_FLOOR = 1e-12
 ACTIVE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SimplexSolverConfig:
-    max_iterations: int = 500
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    tolerance: float = 1e-8
-    multistart_count: int = 16
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.multistart_count < 1:
-            raise ValueError(f"multistart_count must be >= 1, got {self.multistart_count}")
-        if self.max_iterations < 1 or self.step_init <= 0.0:
-            raise ValueError("max_iterations must be >= 1 and step_init > 0")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError(f"step_shrink must lie in (0, 1), got {self.step_shrink}")
+KKT_TOL = 1e-8
 
 
 def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
-    """Whether some simplex portfolio keeps ``(w^T mu - t)_-`` within ``lam``.
+    """Whether every simplex portfolio keeps ``(w^T mu - t)_-`` within ``lam``.
 
     Scalar criterion: the worst expected loss over the simplex is the
     smallest asset mean, so the screen is ``(min_i mu_i - t)_- <= lam``.
     """
     if not lam > 0.0:
         raise ValueError(f"budget must be > 0, got {lam}")
-    return max(t - float(m.mu_vec.min()), 0.0) <= lam
+    return _budget_floor(m, t) <= lam
 
 
 def project_to_simplex(v) -> np.ndarray:
@@ -85,48 +75,40 @@ def _budget_floor(m: MarketModel, t: float) -> float:
 
 
 def _require_feasible(m: MarketModel, t: float, lam: float) -> None:
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
     if not check_regret_feasibility(m, t, lam):
         raise InfeasibleBudget(
-            f"budget {lam} cannot be met by any simplex portfolio at threshold {t}"
+            f"budget {lam} is below the floor (t - min mu)_+ = {_budget_floor(m, t)}, "
+            f"so not every simplex portfolio meets it at threshold {t}"
         )
 
 
-def _solve_equality_qp(q2: np.ndarray, c: np.ndarray, rows: list[np.ndarray], rhs: list[float]):
-    """Solve stationarity of w^T (q2/2) w + c^T w under equality rows."""
-    d = q2.shape[0]
-    k = len(rows)
-    kkt = np.zeros((d + k, d + k))
-    kkt[:d, :d] = q2
-    for j, row in enumerate(rows):
-        kkt[:d, d + j] = row
-        kkt[d + j, :d] = row
-    vec = np.concatenate([-c, np.asarray(rhs)])
-    try:
-        sol = np.linalg.solve(kkt, vec)
-    except np.linalg.LinAlgError:
-        return None
-    return sol[:d], sol[d:]
+def _budget_kkt(q2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``q2 w - gamma 1 = rhs[:-1]``, ``1^T w = rhs[-1]`` for ``(w, gamma)``."""
+    n = q2.shape[0]
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = q2
+    kkt[:n, n] = -1.0
+    kkt[n, :n] = 1.0
+    return np.linalg.solve(kkt, rhs)
 
 
-def _active_set_qp(q2: np.ndarray, c: np.ndarray, extra_row=None, extra_rhs=0.0):
-    """Minimize ``w^T (q2/2) w + c^T w`` over the simplex (plus one optional
-    equality row), by primal active-set iteration.  Returns (w, grad) or
-    None when the subproblem never settles."""
+def _active_set_qp(q2: np.ndarray, c: np.ndarray):
+    """Minimize ``w^T (q2/2) w + c^T w`` over the simplex by primal
+    active-set iteration.  Returns (w, grad) or None when the subproblem
+    never settles."""
     d = q2.shape[0]
     active: set[int] = set()
     for _ in range(3 * d + 6):
         free = [i for i in range(d) if i not in active]
         if not free:
             return None
-        rows = [np.ones(len(free))]
-        rhs = [1.0]
-        if extra_row is not None:
-            rows.append(extra_row[free])
-            rhs.append(extra_rhs)
-        sol = _solve_equality_qp(q2[np.ix_(free, free)], c[free], rows, rhs)
-        if sol is None:
+        try:
+            sol = _budget_kkt(q2[np.ix_(free, free)], np.append(-c[free], 1.0))
+        except np.linalg.LinAlgError:
             return None
-        w_free, _ = sol
+        w_free = sol[:-1]
         if w_free.min() < -ACTIVE_TOL:
             active.add(free[int(np.argmin(w_free))])
             continue
@@ -142,6 +124,104 @@ def _active_set_qp(q2: np.ndarray, c: np.ndarray, extra_row=None, extra_rhs=0.0)
     return None
 
 
+@dataclass(frozen=True, eq=False)
+class _Segment:
+    """One piece of the lower long-only frontier.  For ``xi`` in ``[lo, hi]``
+    and ``u = xi - hi`` the weights on ``free`` are ``p + q u`` and the
+    variance is ``V = a u^2 + b u + c``.  Centring on ``hi`` keeps the
+    coefficients well conditioned where ``V`` is steep (nearly equal free
+    means), which an expansion about ``xi = 0`` would not."""
+
+    free: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    lo: float
+    hi: float
+    a: float
+    b: float
+    c: float
+
+    def weights(self, dim: int, xi: float) -> np.ndarray:
+        w = np.zeros(dim)
+        w[self.free] = np.maximum(self.p + self.q * (xi - self.hi), 0.0)
+        return w
+
+
+def _long_only_frontier(m: MarketModel) -> list[_Segment]:
+    """Lower half of the long-only minimum-variance frontier.
+
+    Critical-line walk of ``min w^T cov w + kappa mu^T w`` over the simplex
+    from ``kappa = 0`` (the long-only global minimum-variance portfolio) to
+    ``kappa -> inf`` (``xi = min mu``).  On a free set ``F`` one KKT solve of
+    ``2 cov_FF w_F + kappa mu_F = gamma 1``, ``1^T w_F = 1`` makes ``w_F``
+    and ``gamma`` affine in ``kappa``.  The next corner is the smallest
+    ``kappa`` at which a free weight falls to 0 (its asset leaves ``F``) or
+    an inactive asset's multiplier ``2 (cov w)_i + kappa mu_i - gamma``
+    falls to 0 (it joins ``F``).  ``xi = mu_F^T w_F`` is affine and
+    non-increasing in ``kappa``, so each piece of positive length is
+    re-expressed in ``xi``; along it ``V'(xi) = -kappa``.  A frontier that
+    is a single point comes back as one segment with ``lo == hi``.
+    """
+    mu, cov = m.mu_vec, m.cov
+    d = m.dim
+    start = _active_set_qp(2.0 * cov, np.zeros(d))
+    if start is None:
+        raise NonConvergence("long-only minimum-variance QP did not settle")
+    free = start[0] > 0.0
+    kappa, last = 0.0, -1
+    segments: list[_Segment] = []
+    for _ in range(4 * d + 4):
+        f = np.flatnonzero(free)
+        out = np.flatnonzero(~free)
+        n = f.size
+        # the kappa-slope right-hand side -mu_F is split as -(mu_F - ref) - ref:
+        # the constant part only shifts gamma, so equal free means give w1 == 0
+        ref = float(mu[f[0]])
+        rhs = np.zeros((n + 1, 2))
+        rhs[n, 0] = 1.0
+        rhs[:n, 1] = ref - mu[f]
+        sol = _budget_kkt(2.0 * cov[np.ix_(f, f)], rhs)
+        w0, w1 = sol[:n, 0], sol[:n, 1]
+        cross = 2.0 * cov[np.ix_(out, f)]
+        ids = np.concatenate([f, out])
+        level = np.concatenate([w0, cross @ w0 - sol[n, 0]])
+        slope = np.concatenate([w1, cross @ w1 + mu[out] - ref - sol[n, 1]])
+        falling = (slope < 0.0) & (ids != last)
+        if not falling.any():
+            break
+        roots = np.maximum(-level[falling] / slope[falling], kappa)
+        j = int(np.argmin(roots))
+        corner, asset = float(roots[j]), int(ids[falling][j])
+        x0, x1 = float(mu[f] @ w0), float(mu[f] @ w1)
+        hi, lo = x0 + x1 * kappa, x0 + x1 * corner
+        if x1 < 0.0 and lo < hi:
+            p, q = w0 + w1 * kappa, w1 / x1
+            cff = cov[np.ix_(f, f)]
+            cq = cff @ q
+            segments.append(
+                _Segment(f, p, q, lo, hi, float(q @ cq), 2.0 * float(p @ cq), float(p @ cff @ p))
+            )
+        free[asset] = not free[asset]
+        kappa, last = corner, asset
+    else:
+        raise NonConvergence("critical line did not reach min mu")
+    if not segments:
+        w = start[0]
+        f = np.flatnonzero(w > 0.0)
+        xi = float(w @ mu)
+        segments.append(_Segment(f, w[f], np.zeros(f.size), xi, xi, 0.0, 0.0, float(w @ cov @ w)))
+    return segments
+
+
+def _real_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of ``a x^2 + b x + c``; a negative discriminant is
+    treated as zero, so a near-tangency still yields its touching point."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    half = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    return [half / a, c / half] if half != 0.0 else [0.0]
+
+
 def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
     free = w > 1e-10
     gamma = float(grad[free].mean())
@@ -150,19 +230,21 @@ def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
     return max(stationarity, dual) / (1.0 + abs(gamma))
 
 
-def eep_tsv_portfolio(
-    m: MarketModel, t: float, lam: float, cfg: SimplexSolverConfig | None = None
-) -> Portfolio:
+def eep_tsv_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
     """Long-only minimizer of the budgeted arbitrary-family worst case.
 
-    On the generic branch the objective is the convex, differentiable
-    ``w^T cov w + (w^T mu - t)_+^2``; projected gradient supplies a warm
-    start and an active-set polish makes the KKT conditions hold to
-    ``cfg.tolerance``.  When the budget sits exactly on its floor the
-    binding vertex is the whole feasible story and the objective collapses
-    to 0.
+    Above the budget floor the objective ``f = V(xi) + (xi - t)_+^2`` is
+    convex and differentiable along the frontier, so its minimizer is where
+    ``f'`` changes sign: the first segment, walking down from the global
+    minimum-variance point, whose lower end has ``f' <= 0`` holds it at the
+    root of ``V' + 2 (xi - t) = 0`` (above ``t``) or of ``V' = 0`` (below);
+    if no segment has, it is the ``min mu`` end.  Locating it by the sign
+    of ``f'`` rather than by comparing values stays exact where the
+    frontier is so steep that ``f`` is flat to rounding.  The KKT
+    conditions over the simplex are checked at the result to ``KKT_TOL``.
+    When the budget sits exactly on its floor the binding vertex is the
+    whole feasible story and the objective collapses to 0.
     """
-    cfg = cfg or SimplexSolverConfig()
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
     floor = _budget_floor(m, t)
@@ -178,90 +260,48 @@ def eep_tsv_portfolio(
             regime="lambda == (xi-t)_-",
         )
 
-    def value_grad(w):
-        xi = float(w @ mu)
-        up = max(xi - t, 0.0)
-        return float(w @ cov @ w) + up * up, 2.0 * cov @ w + 2.0 * up * mu
+    segments = _long_only_frontier(m)
+    seg = segments[-1]
+    u = seg.lo - seg.hi
+    for s in segments:
+        tl, bottom = t - s.hi, s.lo - s.hi
+        if 2.0 * s.a * bottom + s.b + 2.0 * max(bottom - tl, 0.0) <= 0.0:
+            u = (2.0 * tl - s.b) / (2.0 * s.a + 2.0)
+            if u < tl:
+                u = -s.b / (2.0 * s.a)
+            seg, u = s, min(max(u, bottom), 0.0)
+            break
+    w = seg.weights(m.dim, seg.hi + u)
 
-    w = np.full(m.dim, 1.0 / m.dim)
-    best_w, best_f = w, value_grad(w)[0]
-    for k in range(cfg.max_iterations):
-        f, g = value_grad(w)
-        if f < best_f:
-            best_w, best_f = w, f
-        w = project_to_simplex(w - cfg.step_init / math.sqrt(k + 1.0) * g)
-
-    # polish: the branch (above/below/at the threshold) fixes a QP
-    candidates = []
-    for variant in ("below", "above", "pinned"):
-        if variant == "below":
-            q2, c, row, rhs = 2.0 * cov, np.zeros(m.dim), None, 0.0
-        elif variant == "above":
-            q2 = 2.0 * (cov + np.outer(mu, mu))
-            c = -2.0 * t * mu
-            row, rhs = None, 0.0
-        else:
-            q2, c, row, rhs = 2.0 * cov, np.zeros(m.dim), mu, t
-        sol = _active_set_qp(q2, c, row, rhs)
-        if sol is None:
-            continue
-        wv = sol[0]
-        xi = float(wv @ mu)
-        if variant == "below" and xi > t + 1e-12:
-            continue
-        if variant == "above" and xi < t - 1e-12:
-            continue
-        candidates.append(wv)
-    candidates.append(best_w)
-    scored = [(value_grad(wv)[0], i, wv) for i, wv in enumerate(candidates)]
-    f_star, _, w_star = min(scored, key=lambda s: (s[0], s[1]))
-
-    _, g_star = value_grad(w_star)
-    if _kkt_residual(w_star, g_star) > cfg.tolerance:
-        raise NonConvergence(
-            f"KKT residual {_kkt_residual(w_star, g_star):.3e} above {cfg.tolerance}"
-        )
-    xi = float(w_star @ mu)
+    xi = float(w @ mu)
+    up = max(xi - t, 0.0)
+    residual = _kkt_residual(w, 2.0 * cov @ w + 2.0 * up * mu)
+    if residual > KKT_TOL:
+        raise NonConvergence(f"KKT residual {residual:.3e} above {KKT_TOL}")
+    var = float(w @ cov @ w)
     return Portfolio(
-        weights=w_star,
+        weights=w,
         expected_loss=xi,
-        stdev=math.sqrt(float(w_star @ cov @ w_star)),
-        objective=f_star,
+        stdev=math.sqrt(var),
+        objective=var + up * up,
         regime="lambda > (xi-t)_-",
     )
 
 
-def _golden_on_segment(f, lo: float, hi: float, tol: float = 1e-11):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def eep_tsv_s_portfolio(
-    m: MarketModel, t: float, lam: float, cfg: SimplexSolverConfig | None = None
-) -> Portfolio:
+def eep_tsv_s_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
     """Long-only minimizer of the budgeted symmetric-family worst case.
 
-    The scalarized objective is piecewise-smooth and not assumed convex, so
-    the solver multi-starts projected subgradient descent from every
-    vertex, the barycenter, and seeded random simplex points, then polishes
-    the leaders with golden-section line searches along pairwise exchange
-    directions (which span the simplex tangent space).
+    Along the frontier ``sigma(xi)`` is convex and every branch formula is
+    convex and non-decreasing in ``sigma``, so the objective is convex on
+    each piece between branch boundaries.  With ``s = xi - t`` the
+    candidates are the segment ends, ``xi = t``, the boundaries
+    ``V = s^2`` and ``V = (2 lam + s)^2``, the stationary points
+    ``V' + 2s = 0``, ``V' = 0`` and ``V'/2 + 2 lam + 3s = 0``, the point
+    ``sigma' = -1`` of the ``(s + sigma)^2 / 2`` branch, and every vertex
+    (where the exact-equality floor branch can fire).  Each is scored by
+    the closed form at its rebuilt weights, and a feasible-direction
+    screen checks the winner independently.
     """
-    cfg = cfg or SimplexSolverConfig()
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
     d = m.dim
@@ -276,75 +316,39 @@ def eep_tsv_s_portfolio(
         except EmptyUncertaintySet:
             return math.inf
 
-    def subgrad(w) -> np.ndarray:
-        xi = float(w @ mu)
-        cw = cov @ w
-        sigma = max(math.sqrt(max(float(w @ cw), 0.0)), SIGMA_FLOOR)
-        if t > xi:
-            return cw
-        s = xi - t
-        m_shift = lam + xi - t
-        if sigma <= s:
-            return 2.0 * cw + 2.0 * s * mu
-        if sigma < 2.0 * m_shift - s:
-            return (s + sigma) * (mu + cw / sigma)
-        return cw + (2.0 * lam + 3.0 * s) * mu
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.eye(d)[i] for i in range(d)]
-    starts.append(np.full(d, 1.0 / d))
-    starts.extend(rng.dirichlet(np.ones(d)) for _ in range(cfg.multistart_count))
-
-    leaders: list[tuple[float, int, np.ndarray]] = []
-    for si, w0 in enumerate(starts):
-        w = np.asarray(w0, dtype=float)
-        local_w, local_f = w, value(w)
-        for k in range(cfg.max_iterations):
-            g = subgrad(w)
-            norm = float(np.linalg.norm(g))
-            if norm < 1e-15:
-                break
-            w = project_to_simplex(w - cfg.step_init / math.sqrt(k + 1.0) * g / norm)
-            f = value(w)
-            if f < local_f:
-                local_w, local_f = w, f
-        leaders.append((local_f, si, local_w))
-    leaders.sort(key=lambda s: (s[0], s[1]))
-
-    def polish(w):
-        w = w.copy()
-        fw = value(w)
-        for _ in range(3):
-            improved = False
-            for i in range(d):
-                for j in range(i + 1, d):
-                    lo, hi = -w[i], w[j]
-                    if hi - lo < 1e-14:
-                        continue
-                    e = np.zeros(d)
-                    e[i], e[j] = 1.0, -1.0
-                    theta, ft = _golden_on_segment(lambda th: value(w + th * e), lo, hi)
-                    if ft < fw - 1e-15:
-                        w = np.clip(w + theta * e, 0.0, None)
-                        w = w / w.sum()
-                        fw = ft
-                        improved = True
-            if not improved:
-                break
-        return w, fw
+    candidates = []
+    for seg in _long_only_frontier(m):
+        # each equation in u = xi - hi, where V = a u^2 + b u + c and
+        # s = xi - t = u - tl; only roots inside the segment are kept
+        a, b, c, tl = seg.a, seg.b, seg.c, t - seg.hi
+        r = 2.0 * lam - tl
+        us = [0.0, seg.lo - seg.hi]
+        for coeffs in (
+            (0.0, 1.0, -tl),  # s = 0
+            (a - 1.0, b + 2.0 * tl, c - tl * tl),  # V = s^2
+            (a - 1.0, b - 2.0 * r, c - r * r),  # V = (2 lam + s)^2
+            (0.0, 2.0 * a + 2.0, b - 2.0 * tl),  # V' + 2s = 0
+            (0.0, 2.0 * a, b),  # V' = 0
+            (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl),  # V'/2 + 2 lam + 3s = 0
+            (4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c),  # V'^2 = 4V
+        ):
+            us.extend(u for u in _real_roots(*coeffs) if seg.lo <= seg.hi + u <= seg.hi)
+        candidates.extend(seg.weights(d, seg.hi + u) for u in us)
+    candidates.extend(np.eye(d))
 
     best_w, best_f = None, math.inf
-    for f0, _, w0 in leaders[:3]:
-        w, f = polish(w0)
+    for w in candidates:
+        f = value(w)
         if f < best_f:
             best_w, best_f = w, f
-    if best_w is None or not math.isfinite(best_f):
-        raise NonConvergence("no finite objective found over the simplex")
+    if best_w is None:
+        raise EmptyUncertaintySet(
+            f"no simplex portfolio has a non-empty symmetric set at t={t}, lambda={lam}"
+        )
 
-    # feasible-direction stationarity screen, generous because the polish
-    # resolves intervals only to ~1e-11
+    # feasible-direction stationarity screen
     h = 1e-7
-    slack = 100.0 * cfg.tolerance * (1.0 + abs(best_f))
+    slack = 100.0 * KKT_TOL * (1.0 + abs(best_f))
     for i in range(d):
         for j in range(d):
             if i == j or best_w[j] < h:
@@ -352,9 +356,7 @@ def eep_tsv_s_portfolio(
             e = np.zeros(d)
             e[i], e[j] = 1.0, -1.0
             if (value(best_w + h * e) - best_f) / h < -slack:
-                raise NonConvergence(
-                    f"descent direction remains after polish (pair {i},{j})"
-                )
+                raise NonConvergence(f"descent direction remains (pair {i},{j})")
 
     xi = float(best_w @ mu)
     sigma = max(math.sqrt(max(float(best_w @ cov @ best_w), 0.0)), SIGMA_FLOOR)

@@ -24,6 +24,7 @@ from .errors import (
     EmptyUncertaintySet,
     InvalidBudget,
     InvalidProfile,
+    InvalidThreshold,
     NonNegativeRequiresPositiveMean,
 )
 
@@ -123,6 +124,8 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
       then the arbitrary-family value.
     """
     _require_family(p, fam)
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
     mu, sg = p.mu, p.sigma
     if fam is Family.ARBITRARY:
         val = 0.5 * (mu - t + math.hypot(sg, mu - t))
@@ -154,6 +157,8 @@ def wc_target_semivariance(p: MomentProfile, t: float, fam: Family) -> WorstCase
     the mean.
     """
     _require_family(p, fam)
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
     mu, sg = p.mu, p.sigma
     if fam is Family.SYMMETRIC:
         if t <= mu - sg:
@@ -178,6 +183,8 @@ def set_nonempty(p: MomentProfile, t: float, lam: float | None, fam: Family) -> 
     extra.
     """
     _require_family(p, fam)
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
     if lam is None:
         return True
     _check_budget(lam)
@@ -220,6 +227,8 @@ def wc_target_semivariance_constrained(
     Raises :class:`EmptyUncertaintySet` when the set has no member.
     """
     _require_family(p, fam)
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
     if lam is None:
         return wc_target_semivariance(p, t, fam)
     _check_budget(lam)

@@ -31,7 +31,6 @@ from wctsv.frontier import (
 from wctsv.market_data import compute_losses, load_price_panel
 from wctsv.oracle import partial_moments, witness_family
 from wctsv.simplex import (
-    SimplexSolverConfig,
     check_regret_feasibility,
     eep_tsv_portfolio,
     eep_tsv_s_portfolio,
@@ -460,7 +459,7 @@ def run_simplex_certification(seed: int):
             ("budgeted", eep_tsv_portfolio, ARB),
             ("budgeted-symmetric", eep_tsv_s_portfolio, SYM),
         ):
-            port = solver(model, t, lam, SimplexSolverConfig(seed=seed))
+            port = solver(model, t, lam)
             records.append((d, name, model, t, lam, fam, port))
             joined = ";".join(f"{w:.17g}" for w in port.weights)
             lines.append(f"{d},{name},{port.objective:.17g},{joined}")
@@ -512,7 +511,7 @@ def bundled_backtest():
 def test_criterion_8_bundled_backtest(bundled_backtest):
     losses, cfg, result, elapsed = bundled_backtest
     n = losses.losses.shape[0]
-    assert elapsed < 60.0
+    assert elapsed < 10.0
     assert result.failures == ()
     assert len(result.oos_dates) == n - cfg.window
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ class TestConfig:
             BacktestConfig(models=())
         with pytest.raises(ValueError):
             BacktestConfig(models=("MV", "NOPE"))
+
+    @pytest.mark.parametrize("field", ["t", "nu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_and_cap_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            BacktestConfig(**{field: bad})
 
 
 class TestRunBacktest:

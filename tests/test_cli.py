@@ -95,6 +95,15 @@ class TestWc:
         res = runner.invoke(main, ["wc", "--mu", "0", "--sigma", "0", "--t", "0", "--measure", "tsv"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, runner, t):
+        res = runner.invoke(
+            main,
+            ["wc", "--mu", "0", "--sigma", "1", "--t", t, "--measure", "tsv", "--family", "symmetric"],
+        )
+        assert res.exit_code == 2
+        assert "finite" in res.output
+
 
 def read_rows(path):
     with open(path, newline="") as handle:

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wctsv import (
     EmptyUncertaintySet,
     Family,
     InfeasibleBudget,
+    InvalidThreshold,
     MomentProfile,
     wc_target_semivariance,
     wc_target_semivariance_constrained,
 )
 from wctsv.frontier import MarketModel
 from wctsv.simplex import (
-    SimplexSolverConfig,
+    _long_only_frontier,
     check_regret_feasibility,
     eep_tsv_portfolio,
     eep_tsv_s_portfolio,
@@ -131,9 +134,19 @@ class TestEepTsv:
             eep_tsv_portfolio(m, t=0.0, lam=0.02)
 
     def test_certification_and_kkt(self):
-        for seed in (0, 3):
-            m = random_model(seed)
-            t, lam = 0.1, 2.0
+        cases = [(random_model(0), 0.1, 2.0), (random_model(3), 0.1, 2.0)]
+        # the threshold sits below every asset mean here
+        m = random_model(1, d=3)
+        cases.append((m, -0.5, max(-0.5 - float(m.mu_vec.min()), 0.0) + 0.5))
+        # means equal to 1e-6: the frontier is so steep that the objective is
+        # flat to rounding around its minimizer while the KKT residual is not
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(3, 3))
+        steep = MarketModel(
+            ("A", "B", "C"), 0.1 + rng.normal(scale=1e-6, size=3), a @ a.T + 0.5 * np.eye(3)
+        )
+        cases.append((steep, 0.0, 1.0))
+        for m, t, lam in cases:
             pf = eep_tsv_portfolio(m, t, lam)
             assert (pf.weights >= -1e-12).all()
             assert float(pf.weights.sum()) == pytest.approx(1.0, abs=1e-10)
@@ -188,10 +201,10 @@ class TestEepTsvS:
         assert pf.objective == pytest.approx(min(h_free(x) for x in xs), abs=1e-6)
 
     def test_certification(self):
-        for seed in (0, 2):
-            m = random_model(seed)
-            t = 0.05
-            lam = max(t - float(m.mu_vec.min()), 0.0) + 0.8
+        cases = [(random_model(0), 0.05, 0.8), (random_model(2), 0.05, 0.8)]
+        cases.append((random_model(10, d=3), -0.5, 0.5))
+        for m, t, extra in cases:
+            lam = max(t - float(m.mu_vec.min()), 0.0) + extra
             pf = eep_tsv_s_portfolio(m, t, lam)
             assert (pf.weights >= -1e-12).all()
             assert float(pf.weights.sum()) == pytest.approx(1.0, abs=1e-10)
@@ -202,10 +215,9 @@ class TestEepTsvS:
 
     def test_deterministic(self):
         m = random_model(4)
-        cfg = SimplexSolverConfig(seed=11)
         lam = max(0.0 - float(m.mu_vec.min()), 0.0) + 0.7
-        a = eep_tsv_s_portfolio(m, 0.0, lam, cfg)
-        b = eep_tsv_s_portfolio(m, 0.0, lam, cfg)
+        a = eep_tsv_s_portfolio(m, 0.0, lam)
+        b = eep_tsv_s_portfolio(m, 0.0, lam)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.objective == b.objective
 
@@ -215,12 +227,79 @@ class TestEepTsvS:
             eep_tsv_s_portfolio(m, t=0.0, lam=0.02)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SimplexSolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SimplexSolverConfig(multistart_count=0)
-    with pytest.raises(ValueError):
-        SimplexSolverConfig(step_shrink=1.5)
-    with pytest.raises(ValueError):
-        SimplexSolverConfig(max_iterations=0)
+@pytest.mark.parametrize("solver", [eep_tsv_portfolio, eep_tsv_s_portfolio])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_rejected(solver, t):
+    with pytest.raises(InvalidThreshold):
+        solver(random_model(0), t, 1.0)
+
+
+# ------------------------------------------------ premise of the frontier reduction
+
+
+@given(
+    xi=st.floats(-3.0, 3.0),
+    t=st.floats(-3.0, 3.0),
+    sigma=st.floats(1e-3, 5.0),
+    extra=st.floats(1e-6, 4.0),
+    d_sigma=st.floats(0.0, 2.0),
+    d_xi=st.floats(0.0, 2.0),
+)
+@example(xi=0.0, t=1.0, sigma=1.0, extra=0.5, d_sigma=0.1, d_xi=0.1)  # t > xi
+@example(xi=1.0, t=0.0, sigma=0.5, extra=1.0, d_sigma=0.1, d_xi=0.1)  # sigma <= s
+@example(xi=1.0, t=0.0, sigma=1.5, extra=1.0, d_sigma=0.1, d_xi=0.1)  # s < sigma < 2 lam + s
+@example(xi=0.5, t=0.0, sigma=3.0, extra=0.2, d_sigma=0.1, d_xi=0.1)  # budget binds
+@settings(max_examples=300, deadline=None)
+def test_objectives_monotone_above_budget_floor(xi, t, sigma, extra, d_sigma, d_xi):
+    lam = max(t - xi, 0.0) + extra
+
+    def h(fam, x, s):
+        return wc_target_semivariance_constrained(MomentProfile(x, s), t, lam, fam).value
+
+    for fam in (Family.ARBITRARY, Family.SYMMETRIC):
+        base = h(fam, xi, sigma)
+        tol = 1e-12 * (1.0 + base)
+        assert base <= h(fam, xi, sigma + d_sigma) + tol
+        assert base <= h(fam, xi + d_xi, sigma) + tol
+
+
+def frontier_variance(segments, xi):
+    seg = next((s for s in segments if xi >= s.lo), segments[-1])
+    u = xi - seg.hi
+    return seg.a * u * u + seg.b * u + seg.c
+
+
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 10))
+@settings(max_examples=60, deadline=None)
+def test_frontier_continuous_at_corners(seed, d):
+    m = random_model(seed, d)
+    segments = _long_only_frontier(m)
+    assert segments[-1].lo == pytest.approx(float(m.mu_vec.min()), abs=1e-12)
+    for upper, lower in zip(segments, segments[1:]):
+        assert lower.hi == pytest.approx(upper.lo, abs=1e-12)
+        np.testing.assert_allclose(
+            lower.weights(d, lower.hi), upper.weights(d, upper.lo), atol=1e-9
+        )
+        assert frontier_variance([lower], lower.hi) == pytest.approx(
+            frontier_variance([upper], upper.lo), abs=1e-12
+        )
+    # a steep segment only a few 1e-6 long fixes its end weights to ~1e-12
+    for seg in segments:
+        for xi in (seg.lo, seg.hi):
+            w = seg.weights(d, xi)
+            assert float(w.sum()) == pytest.approx(1.0, abs=1e-10)
+            assert float(w @ m.mu_vec) == pytest.approx(xi, abs=1e-10)
+            assert float(w @ m.cov @ w) == pytest.approx(frontier_variance([seg], xi), rel=1e-10)
+
+
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 10))
+@settings(max_examples=30, deadline=None)
+def test_frontier_below_every_probe(seed, d):
+    m = random_model(seed, d)
+    segments = _long_only_frontier(m)
+    top = segments[0].hi
+    for p in probes(d, n=500, seed=seed):
+        xi = float(p @ m.mu_vec)
+        if xi <= top:
+            var = float(p @ m.cov @ p)
+            assert frontier_variance(segments, xi) <= var + 1e-12 * (1.0 + var)

@@ -10,6 +10,7 @@ from wctsv import (
     Family,
     InvalidBudget,
     InvalidProfile,
+    InvalidThreshold,
     MomentProfile,
     NonNegativeRequiresPositiveMean,
     reflect_complement_bounds,
@@ -186,6 +187,23 @@ def test_input_validation():
             wc_target_semivariance_constrained(profile(0, 1), 0.0, bad, ARB)
     with pytest.raises(ValueError):
         reflect_complement_bounds(profile(1, 1), 0.0, NN)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p, t, fam: wc_expected_regret(p, t, fam),
+        lambda p, t, fam: wc_target_semivariance(p, t, fam),
+        lambda p, t, fam: wc_target_semivariance_constrained(p, t, 1.0, fam),
+        lambda p, t, fam: set_nonempty(p, t, 1.0, fam),
+    ],
+    ids=["regret", "tsv", "tsv_constrained", "set_nonempty"],
+)
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fam", [ARB, SYM, NN])
+def test_non_finite_threshold_rejected(evaluate, t, fam):
+    with pytest.raises(InvalidThreshold):
+        evaluate(profile(1.0, 1.0), t, fam)
 
 
 def test_reflection_bounds_arbitrary():
