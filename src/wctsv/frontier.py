@@ -31,8 +31,6 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
-XI_GRID_POINTS = 2048
-GOLDEN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,23 +165,45 @@ def tsv_portfolio(fp: FrontierParams, m: MarketModel, t: float) -> Portfolio:
     return Portfolio(base.weights, base.expected_loss, base.stdev, value, regime)
 
 
-def _golden_min(f, a: float, b: float, tol: float = GOLDEN_TOL):
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _real_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of ``a x^2 + b x + c``; a negative discriminant is
+    treated as zero, so a near-tangency still yields its touching point."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    half = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    return [half / a, c / half] if half != 0.0 else [0.0]
+
+
+def _segment_candidates(
+    a: float, b: float, c: float, lo: float, hi: float, t: float, lam: float | None
+) -> list[float]:
+    """Candidate minimizers of the symmetric worst case on one frontier piece.
+
+    On ``[lo, hi]`` the variance is ``V = a u^2 + b u + c`` in ``u = xi - hi``.
+    With ``s = xi - t`` the candidates are both ends and the in-segment roots
+    of ``s = 0``, ``V = s^2``, ``V = (2 lam + s)^2``, ``V' + 2s = 0``,
+    ``V' = 0``, ``V'/2 + 2 lam + 3s = 0`` and ``V'^2 = 4V`` (``sigma' = -1``):
+    every branch boundary and stationary point.  ``lam=None`` (no budget)
+    drops the two equations in ``lam``.  Returns the ``u`` values, ends
+    first and then in equation order.
+    """
+    tl = t - hi
+    budgeted = lam is not None
+    r = 2.0 * lam - tl if budgeted else 0.0
+    equations = (
+        (0.0, 1.0, -tl),  # s = 0
+        (a - 1.0, b + 2.0 * tl, c - tl * tl),  # V = s^2
+        (a - 1.0, b - 2.0 * r, c - r * r) if budgeted else None,  # V = (2 lam + s)^2
+        (0.0, 2.0 * a + 2.0, b - 2.0 * tl),  # V' + 2s = 0
+        (0.0, 2.0 * a, b),  # V' = 0
+        (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl) if budgeted else None,  # V'/2 + 2 lam + 3s = 0
+        (4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c),  # V'^2 = 4V
+    )
+    us = [0.0, lo - hi]
+    for coeffs in equations:
+        if coeffs is not None:
+            us.extend(u for u in _real_roots(*coeffs) if lo <= hi + u <= hi)
+    return us
 
 
 def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -> Portfolio:
@@ -193,14 +213,20 @@ def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -
     below the threshold, where the objective is ``sigma^2 / 2``, so the
     solution is the classical one at ``xi = min(v1/v0, nu)``.  Otherwise
     the candidates are the below-threshold frontier vertex
-    ``xi1 = min(v1/v0, t)`` (case ii) and a grid-plus-golden-section
-    minimizer of the objective over ``[t, nu]`` (case iii); the smaller
-    objective wins, the smaller ``xi`` on a tie within 1e-12.  The scan is
-    used because the objective along the frontier need not be unimodal.
+    ``xi1 = min(v1/v0, t)`` (case ii) and the best point of
+    ``[t, min(nu, v1/v0)]`` (case iii); the smaller objective wins, the
+    smaller ``xi`` on a tie within 1e-12.  Above the global minimum-variance
+    point ``v1/v0`` both ``xi`` and ``sigma`` rise and every branch is
+    non-decreasing in each, so case (iii) stops there.  Along the frontier
+    ``sigma(xi)`` is convex and each branch is convex and non-decreasing in
+    ``sigma``, so the objective is convex on each piece between branch
+    boundaries; case (iii) scores the exact candidates of
+    :func:`_segment_candidates` (branch boundaries and stationary points,
+    all linear or quadratic roots) and keeps the first smallest.
     """
 
-    def h(xi: float) -> float:
-        sigma = math.sqrt(fp.variance_at(xi))
+    def h(xi: float, var: float) -> float:
+        sigma = math.sqrt(var)
         return wc_target_semivariance(MomentProfile(xi, sigma), t, Family.SYMMETRIC).value
 
     gmv = fp.v1 / fp.v0
@@ -209,17 +235,20 @@ def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -
     else:
         xi1 = min(gmv, t)
         h1 = 0.5 * fp.variance_at(xi1)
-        grid = np.linspace(t, nu, XI_GRID_POINTS)
-        values = [h(x) for x in grid]
-        j = int(np.argmin(values))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, XI_GRID_POINTS - 1)]
-        xi2, h2 = _golden_min(h, float(lo), float(hi))
-        if values[j] < h2:
-            xi2, h2 = float(grid[j]), values[j]
+        xi2, h2 = math.nan, math.inf
+        hi = min(nu, gmv)
+        if t <= hi:
+            # vertex form about the GMV point: expanding about hi alone
+            # loses digits where the frontier is steep (large v0)
+            k = hi - gmv
+            a, b, c = fp.v0, 2.0 * fp.v0 * k, fp.v0 * k * k + 1.0 / (fp.u * fp.v0)
+            for u in _segment_candidates(a, b, c, t, hi, t, None):
+                value = h(hi + u, (a * u + b) * u + c)
+                if value < h2:
+                    xi2, h2 = hi + u, value
         if h1 <= h2 + 1e-12:
             xi_star, tag = xi1, "ii"
         else:
             xi_star, tag = xi2, "iii"
     base = min_variance_portfolio(fp, m, xi_star)
-    return Portfolio(base.weights, base.expected_loss, base.stdev, h(xi_star), tag)
+    return Portfolio(base.weights, base.expected_loss, base.stdev, h(xi_star, fp.variance_at(xi_star)), tag)

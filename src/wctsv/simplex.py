@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyUncertaintySet, InfeasibleBudget, InvalidThreshold, NonConvergence
-from .frontier import MarketModel, Portfolio
+from .frontier import MarketModel, Portfolio, _segment_candidates
 from .worst_case import (
     Family,
     MomentProfile,
@@ -213,15 +213,6 @@ def _long_only_frontier(m: MarketModel) -> list[_Segment]:
     return segments
 
 
-def _real_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of ``a x^2 + b x + c``; a negative discriminant is
-    treated as zero, so a near-tangency still yields its touching point."""
-    if a == 0.0:
-        return [-c / b] if b != 0.0 else []
-    half = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
-    return [half / a, c / half] if half != 0.0 else [0.0]
-
-
 def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
     free = w > 1e-10
     gamma = float(grad[free].mean())
@@ -318,21 +309,7 @@ def eep_tsv_s_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
 
     candidates = []
     for seg in _long_only_frontier(m):
-        # each equation in u = xi - hi, where V = a u^2 + b u + c and
-        # s = xi - t = u - tl; only roots inside the segment are kept
-        a, b, c, tl = seg.a, seg.b, seg.c, t - seg.hi
-        r = 2.0 * lam - tl
-        us = [0.0, seg.lo - seg.hi]
-        for coeffs in (
-            (0.0, 1.0, -tl),  # s = 0
-            (a - 1.0, b + 2.0 * tl, c - tl * tl),  # V = s^2
-            (a - 1.0, b - 2.0 * r, c - r * r),  # V = (2 lam + s)^2
-            (0.0, 2.0 * a + 2.0, b - 2.0 * tl),  # V' + 2s = 0
-            (0.0, 2.0 * a, b),  # V' = 0
-            (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl),  # V'/2 + 2 lam + 3s = 0
-            (4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c),  # V'^2 = 4V
-        ):
-            us.extend(u for u in _real_roots(*coeffs) if seg.lo <= seg.hi + u <= seg.hi)
+        us = _segment_candidates(seg.a, seg.b, seg.c, seg.lo, seg.hi, t, lam)
         candidates.extend(seg.weights(d, seg.hi + u) for u in us)
     candidates.extend(np.eye(d))
 
