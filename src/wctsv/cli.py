@@ -251,8 +251,7 @@ def _witness_value(profile, t, lam, fam) -> float | None:
 )
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
-@click.option("--corrupt-closed-form", is_flag=True, hidden=True)
-def cmd_verify(grid_spec, family, constrained, budget, seed, out, corrupt_closed_form):
+def cmd_verify(grid_spec, family, constrained, budget, seed, out):
     """Sweep random profiles and compare closed forms against the search oracle.
 
     Writes one CSV row per tuple as it is computed, so an interrupted run
@@ -290,8 +289,6 @@ def cmd_verify(grid_spec, family, constrained, budget, seed, out, corrupt_closed
             mu, sigma, t, lam = _sample_tuple(rng, ranges, fam, constrained, index)
             profile = MomentProfile(mu=mu, sigma=sigma)
             closed = wc_target_semivariance_constrained(profile, t, lam, fam).value
-            if corrupt_closed_form:
-                closed += 0.01 + 0.2 * (sigma**2 + (t - mu) ** 2)
             try:
                 oracle = brute_force_worst_case(
                     profile, t, lam, fam, k=k, budget=budget, seed=seed * 100_003 + index

@@ -4,7 +4,8 @@ With short selling permitted, every model considered here reduces to a
 one-dimensional problem along the minimum-variance frontier: for a fixed
 expected loss ``xi`` the variance-minimal portfolio is a two-fund
 combination, with variance quadratic in ``xi``.  The solvers differ only in
-the scalar objective they minimize over ``xi``.
+the scalar objective they minimize over ``xi``, each in closed form or by
+scoring the exact candidates that :mod:`wctsv.simplex` also uses.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import DegenerateMeans, NotPositiveDefinite
+from .errors import DegenerateMeans, InvalidThreshold, NotPositiveDefinite
 from .worst_case import Family, MomentProfile, wc_target_semivariance
 
 __all__ = [
@@ -31,6 +31,13 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +64,7 @@ class MarketModel:
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL * scale:
             raise NotPositiveDefinite("covariance is not symmetric")
-        try:
-            cho_factor(cov, lower=True)
-        except LinAlgError as exc:
-            raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
+        _cholesky(cov)
 
     @property
     def dim(self) -> int:
@@ -99,18 +103,15 @@ class Portfolio:
 def frontier_params(m: MarketModel) -> FrontierParams:
     """The scalars (u, v0, v1, v2) and solve vectors behind the frontier.
 
-    Uses a Cholesky solve per right-hand side; the covariance inverse is
-    never formed.  Raises :class:`DegenerateMeans` when the mean vector is
+    Solves against the covariance's Cholesky factor; the inverse is never
+    formed.  Raises :class:`DegenerateMeans` when the mean vector is
     (numerically) a multiple of the all-ones vector, which collapses the
     frontier to a single point.
     """
-    try:
-        factor = cho_factor(m.cov, lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
+    factor = _cholesky(m.cov)
     e = np.ones(m.dim)
-    inv_mu = cho_solve(factor, m.mu_vec)
-    inv_e = cho_solve(factor, e)
+    y = np.linalg.solve(factor, np.column_stack([m.mu_vec, e]))
+    inv_mu, inv_e = np.ascontiguousarray(np.linalg.solve(factor.T, y).T)
     a = float(e @ inv_e)
     b = float(e @ inv_mu)
     c = float(m.mu_vec @ inv_mu)
@@ -137,6 +138,8 @@ def min_variance_portfolio(fp: FrontierParams, m: MarketModel, xi: float) -> Por
 
 def classical_mv(fp: FrontierParams, m: MarketModel, nu: float) -> Portfolio:
     """Minimum variance subject to expected loss at most ``nu``."""
+    if not math.isfinite(nu):
+        raise InvalidThreshold(f"loss cap must be finite, got {nu}")
     gmv = fp.v1 / fp.v0
     if nu < gmv:
         xi, regime = nu, "loss cap binds"
@@ -155,6 +158,8 @@ def tsv_portfolio(fp: FrontierParams, m: MarketModel, t: float) -> Portfolio:
     vertex ``v1/v0`` (when it sits at or below t) or the stationary point
     ``(v1 + t)/(v0 + 1)`` of the upper branch.
     """
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
     gmv = fp.v1 / fp.v0
     if gmv <= t:
         xi, regime = gmv, "v1/v0 <= t"
@@ -177,15 +182,13 @@ def _real_roots(a: float, b: float, c: float) -> list[float]:
 def _segment_candidates(
     a: float, b: float, c: float, lo: float, hi: float, t: float, lam: float | None
 ) -> list[float]:
-    """Candidate minimizers of the symmetric worst case on one frontier piece.
+    """Candidate minimizers ``u = xi - hi`` of the symmetric worst case on ``[lo, hi]``.
 
-    On ``[lo, hi]`` the variance is ``V = a u^2 + b u + c`` in ``u = xi - hi``.
-    With ``s = xi - t`` the candidates are both ends and the in-segment roots
-    of ``s = 0``, ``V = s^2``, ``V = (2 lam + s)^2``, ``V' + 2s = 0``,
-    ``V' = 0``, ``V'/2 + 2 lam + 3s = 0`` and ``V'^2 = 4V`` (``sigma' = -1``):
-    every branch boundary and stationary point.  ``lam=None`` (no budget)
-    drops the two equations in ``lam``.  Returns the ``u`` values, ends
-    first and then in equation order.
+    ``sigma(xi)`` is convex and every branch is convex and non-decreasing in
+    ``sigma``, so with ``V = a u^2 + b u + c`` and ``s = xi - t`` the
+    candidates are both ends and the in-segment roots of the branch-boundary
+    and stationary-point equations below, in that order (``V'^2 = 4V`` is
+    ``sigma' = -1``).  ``lam=None`` (no budget) drops the two in ``lam``.
     """
     tl = t - hi
     budgeted = lam is not None
@@ -196,7 +199,8 @@ def _segment_candidates(
         (a - 1.0, b - 2.0 * r, c - r * r) if budgeted else None,  # V = (2 lam + s)^2
         (0.0, 2.0 * a + 2.0, b - 2.0 * tl),  # V' + 2s = 0
         (0.0, 2.0 * a, b),  # V' = 0
-        (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl) if budgeted else None,  # V'/2 + 2 lam + 3s = 0
+        # V'/2 + 2 lam + 3s = 0
+        (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl) if budgeted else None,
         (4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c),  # V'^2 = 4V
     )
     us = [0.0, lo - hi]
@@ -217,17 +221,14 @@ def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -
     ``[t, min(nu, v1/v0)]`` (case iii); the smaller objective wins, the
     smaller ``xi`` on a tie within 1e-12.  Above the global minimum-variance
     point ``v1/v0`` both ``xi`` and ``sigma`` rise and every branch is
-    non-decreasing in each, so case (iii) stops there.  Along the frontier
-    ``sigma(xi)`` is convex and each branch is convex and non-decreasing in
-    ``sigma``, so the objective is convex on each piece between branch
-    boundaries; case (iii) scores the exact candidates of
-    :func:`_segment_candidates` (branch boundaries and stationary points,
-    all linear or quadratic roots) and keeps the first smallest.
+    non-decreasing in each, so case (iii) stops there; it keeps the first
+    smallest of the exact candidates of :func:`_segment_candidates`.
     """
+    if not (math.isfinite(nu) and math.isfinite(t)):
+        raise InvalidThreshold(f"loss cap and threshold must be finite, got {nu} and {t}")
 
     def h(xi: float, var: float) -> float:
-        sigma = math.sqrt(var)
-        return wc_target_semivariance(MomentProfile(xi, sigma), t, Family.SYMMETRIC).value
+        return wc_target_semivariance(MomentProfile(xi, math.sqrt(var)), t, Family.SYMMETRIC).value
 
     gmv = fp.v1 / fp.v0
     if t >= nu:
@@ -235,20 +236,18 @@ def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -
     else:
         xi1 = min(gmv, t)
         h1 = 0.5 * fp.variance_at(xi1)
-        xi2, h2 = math.nan, math.inf
         hi = min(nu, gmv)
-        if t <= hi:
-            # vertex form about the GMV point: expanding about hi alone
-            # loses digits where the frontier is steep (large v0)
-            k = hi - gmv
-            a, b, c = fp.v0, 2.0 * fp.v0 * k, fp.v0 * k * k + 1.0 / (fp.u * fp.v0)
-            for u in _segment_candidates(a, b, c, t, hi, t, None):
-                value = h(hi + u, (a * u + b) * u + c)
-                if value < h2:
-                    xi2, h2 = hi + u, value
+        k = hi - gmv
+        # V from the vertex form v0 (xi - gmv)^2 + 1/(u v0): variance_at's
+        # expanded form loses digits where v0 is large
+        a, b, c = fp.v0, 2.0 * fp.v0 * k, fp.v0 * k * k + 1.0 / (fp.u * fp.v0)
+        us = _segment_candidates(a, b, c, t, hi, t, None) if t <= hi else []
+        scores = [(h(hi + u, (a * u + b) * u + c), hi + u) for u in us]
+        h2, xi2 = min(scores, key=lambda p: p[0], default=(math.inf, math.nan))
         if h1 <= h2 + 1e-12:
             xi_star, tag = xi1, "ii"
         else:
             xi_star, tag = xi2, "iii"
     base = min_variance_portfolio(fp, m, xi_star)
-    return Portfolio(base.weights, base.expected_loss, base.stdev, h(xi_star, fp.variance_at(xi_star)), tag)
+    value = h(xi_star, fp.variance_at(xi_star))
+    return Portfolio(base.weights, base.expected_loss, base.stdev, value, tag)

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyUncertaintySet, InfeasibleBudget, InvalidThreshold, NonConvergence
+from .errors import (
+    EmptyUncertaintySet, InfeasibleBudget, InvalidBudget, InvalidThreshold, NonConvergence
+)
 from .frontier import MarketModel, Portfolio, _segment_candidates
 from .worst_case import (
     Family,
@@ -52,7 +54,7 @@ def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
     smallest asset mean, so the screen is ``(min_i mu_i - t)_- <= lam``.
     """
     if not lam > 0.0:
-        raise ValueError(f"budget must be > 0, got {lam}")
+        raise InvalidBudget(f"budget must be > 0, got {lam}")
     return _budget_floor(m, t) <= lam
 
 
@@ -282,16 +284,11 @@ def eep_tsv_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
 def eep_tsv_s_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
     """Long-only minimizer of the budgeted symmetric-family worst case.
 
-    Along the frontier ``sigma(xi)`` is convex and every branch formula is
-    convex and non-decreasing in ``sigma``, so the objective is convex on
-    each piece between branch boundaries.  With ``s = xi - t`` the
-    candidates are the segment ends, ``xi = t``, the boundaries
-    ``V = s^2`` and ``V = (2 lam + s)^2``, the stationary points
-    ``V' + 2s = 0``, ``V' = 0`` and ``V'/2 + 2 lam + 3s = 0``, the point
-    ``sigma' = -1`` of the ``(s + sigma)^2 / 2`` branch, and every vertex
-    (where the exact-equality floor branch can fire).  Each is scored by
-    the closed form at its rebuilt weights, and a feasible-direction
-    screen checks the winner independently.
+    The candidates are those of :func:`wctsv.frontier._segment_candidates`
+    on every frontier segment plus every vertex (where the exact-equality
+    floor branch can fire).  Each is scored by the closed form at its
+    rebuilt weights, and a feasible-direction screen checks the winner
+    independently.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import wctsv.cli
 from wctsv.cli import main
 from wctsv.frontier import classical_mv, frontier_params
 from wctsv.market_data import compute_losses, estimate_moments, load_price_panel
@@ -153,12 +155,19 @@ class TestVerify:
             regimes.add("a" if sigma <= m else ("b" if sigma <= 2 * m else "c"))
         assert regimes == {"a", "b", "c"}
 
-    def test_corrupt_closed_form_fails_but_writes_all_rows(self, runner, tmp_path):
+    def test_corrupt_closed_form_fails_but_writes_all_rows(self, runner, tmp_path, monkeypatch):
+        exact = wctsv.cli.wc_target_semivariance_constrained
+
+        def corrupt(profile, t, lam, fam):
+            bound = exact(profile, t, lam, fam)
+            shift = 0.01 + 0.2 * (profile.sigma**2 + (t - profile.mu) ** 2)
+            return dataclasses.replace(bound, value=bound.value + shift)
+
+        monkeypatch.setattr(wctsv.cli, "wc_target_semivariance_constrained", corrupt)
         out = tmp_path / "report.csv"
         res = runner.invoke(
             main,
-            ["verify", "--grid-spec", "n=5", "--budget", "10000", "--seed", "1",
-             "--corrupt-closed-form", "--out", str(out)],
+            ["verify", "--grid-spec", "n=5", "--budget", "10000", "--seed", "1", "--out", str(out)],
         )
         assert res.exit_code == 1
         assert "violate" in res.output

@@ -6,6 +6,7 @@ import pytest
 from wctsv import (
     DegenerateMeans,
     Family,
+    InvalidThreshold,
     MomentProfile,
     NotPositiveDefinite,
     wc_target_semivariance,
@@ -193,8 +194,18 @@ class TestMTsvS:
         assert pf.objective == pytest.approx(h_frontier(fp, t, pf.expected_loss), rel=1e-12)
 
     def test_objective_matches_closed_form_at_solution(self):
-        for seed, nu, t in [(0, 0.5, -0.3), (1, 0.2, 0.1), (4, 1.0, 0.9)]:
-            m = random_model(seed)
+        daily = random_model(0)
+        daily = MarketModel(daily.assets, 1e-3 * daily.mu_vec, 1e-4 * daily.cov)
+        # nearly equal means: v0 is about 1.2e7
+        steep = random_model(1)
+        steep = MarketModel(steep.assets, 0.1 + 1e-3 * steep.mu_vec, steep.cov)
+        for m, nu, t in [
+            (random_model(0), 0.5, -0.3),
+            (random_model(1), 0.2, 0.1),
+            (random_model(4), 1.0, 0.9),
+            (daily, 0.007, -0.007),
+            (steep, 0.6, -0.4),
+        ]:
             fp = frontier_params(m)
             pf = m_tsv_s_portfolio(fp, m, nu=nu, t=t)
             want = wc_target_semivariance(
@@ -206,3 +217,20 @@ class TestMTsvS:
             # no feasible frontier point does better
             grid = np.linspace(min(t, fp.v1 / fp.v0) - 8, nu, 4_000)
             assert pf.objective <= min(h_frontier(fp, t, x) for x in grid) + 1e-8
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda fp, m, x: classical_mv(fp, m, nu=x),
+        lambda fp, m, x: tsv_portfolio(fp, m, t=x),
+        lambda fp, m, x: m_tsv_s_portfolio(fp, m, nu=x, t=0.0),
+        lambda fp, m, x: m_tsv_s_portfolio(fp, m, nu=0.5, t=x),
+    ],
+    ids=["classical_mv-nu", "tsv-t", "m_tsv_s-nu", "m_tsv_s-t"],
+)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_threshold_or_cap_rejected(solve, x):
+    m = two_asset()
+    with pytest.raises(InvalidThreshold):
+        solve(frontier_params(m), m, x)

@@ -9,6 +9,7 @@ from wctsv import (
     EmptyUncertaintySet,
     Family,
     InfeasibleBudget,
+    InvalidBudget,
     InvalidThreshold,
     MomentProfile,
     wc_target_semivariance,
@@ -74,7 +75,7 @@ class TestFeasibility:
         assert check_regret_feasibility(m, 0.0, 1e9)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidBudget):
             check_regret_feasibility(two_asset(), 0.0, 0.0)
 
 
@@ -253,14 +254,16 @@ def test_non_finite_threshold_rejected(solver, t):
 def test_objectives_monotone_above_budget_floor(xi, t, sigma, extra, d_sigma, d_xi):
     lam = max(t - xi, 0.0) + extra
 
-    def h(fam, x, s):
-        return wc_target_semivariance_constrained(MomentProfile(x, s), t, lam, fam).value
+    def h(fam, budget, x, s):
+        return wc_target_semivariance_constrained(MomentProfile(x, s), t, budget, fam).value
 
-    for fam in (Family.ARBITRARY, Family.SYMMETRIC):
-        base = h(fam, xi, sigma)
-        tol = 1e-12 * (1.0 + base)
-        assert base <= h(fam, xi, sigma + d_sigma) + tol
-        assert base <= h(fam, xi + d_xi, sigma) + tol
+    # lam=None (no budget) backs M_TSV_S stopping at the GMV point
+    for budget in (lam, None):
+        for fam in (Family.ARBITRARY, Family.SYMMETRIC):
+            base = h(fam, budget, xi, sigma)
+            tol = 1e-12 * (1.0 + base)
+            assert base <= h(fam, budget, xi, sigma + d_sigma) + tol
+            assert base <= h(fam, budget, xi + d_xi, sigma) + tol
 
 
 def frontier_variance(segments, xi):
