@@ -9,6 +9,7 @@ continue.  Nothing is skipped silently.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .frontier import (
     tsv_portfolio,
 )
 from .market_data import LossPanel, estimate_moments
-from .simplex import eep_tsv_portfolio, eep_tsv_s_portfolio
+from .simplex import _long_only_frontier, eep_tsv_portfolio, eep_tsv_s_portfolio
 
 __all__ = [
     "MODEL_ORDER",
@@ -112,27 +113,13 @@ class BacktestResult:
 
 
 def _solvers(cfg: BacktestConfig):
-    def mv(model, fp):
-        return classical_mv(fp, model, cfg.nu)
-
-    def tsv(model, fp):
-        return tsv_portfolio(fp, model, cfg.t)
-
-    def m_tsv_s(model, fp):
-        return m_tsv_s_portfolio(fp, model, cfg.nu, cfg.t)
-
-    def eep_tsv(model, fp):
-        return eep_tsv_portfolio(model, cfg.t, cfg.lam)
-
-    def eep_tsv_s(model, fp):
-        return eep_tsv_s_portfolio(model, cfg.t, cfg.lam)
-
+    """Each model as ``solve(model, fp, chain)`` on the day's two frontiers."""
     table = {
-        "MV": mv,
-        "TSV": tsv,
-        "M_TSV_S": m_tsv_s,
-        "EEP_TSV": eep_tsv,
-        "EEP_TSV_S": eep_tsv_s,
+        "MV": lambda model, fp, chain: classical_mv(fp, model, cfg.nu),
+        "TSV": lambda model, fp, chain: tsv_portfolio(fp, model, cfg.t),
+        "M_TSV_S": lambda model, fp, chain: m_tsv_s_portfolio(fp, model, cfg.nu, cfg.t),
+        "EEP_TSV": lambda model, fp, chain: eep_tsv_portfolio(model, cfg.t, cfg.lam, chain),
+        "EEP_TSV_S": lambda model, fp, chain: eep_tsv_s_portfolio(model, cfg.t, cfg.lam, chain),
     }
     return {name: table[name] for name in cfg.models}
 
@@ -142,6 +129,9 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
 
     Day ``k`` of the out-of-sample range uses moments from the ``window``
     losses ending at ``k - 1``, then realizes return ``-w^T losses[k]``.
+    Each day builds the short-selling frontier once for MV, TSV and
+    M_TSV_S and walks the long-only frontier once for EEP_TSV and
+    EEP_TSV_S, and only while a model that needs it is still running.
     """
     n = panel.losses.shape[0]
     if n < cfg.window + 1:
@@ -151,7 +141,7 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
     oos = range(cfg.window, n)
     oos_dates = tuple(panel.dates[k] for k in oos)
     solvers = _solvers(cfg)
-    needs_frontier = {"MV", "TSV", "M_TSV_S"}
+    short_selling = {"MV", "TSV", "M_TSV_S"}
 
     histories: dict[str, dict] = {
         name: {"dates": [], "weights": [], "returns": [], "wealth": [1.0], "failure": None}
@@ -169,13 +159,18 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
             for name in alive:
                 histories[name]["failure"] = (day, f"estimation failed: {exc}")
             break
-        fp = None
-        if any(name in needs_frontier for name in alive):
+        fp = chain = None
+        if any(name in short_selling for name in alive):
             fp = frontier_params(model)
+        if any(name not in short_selling for name in alive):
+            # a walk that fails is repeated by each EEP solver after its own
+            # checks, so each fails (or returns its floor vertex) as it would alone
+            with contextlib.suppress(WctsvError):
+                chain = _long_only_frontier(model)
         for name in alive:
             hist = histories[name]
             try:
-                pf = solvers[name](model, fp)
+                pf = solvers[name](model, fp, chain)
             except WctsvError as exc:
                 hist["failure"] = (day, str(exc))
                 continue

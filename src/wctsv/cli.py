@@ -339,7 +339,7 @@ def cmd_frontier(prices, window, ridge):
     try:
         _, model = _load_model(prices, window, ridge)
         fp = frontier_params(model)
-        gmv = min_variance_portfolio(fp, model, fp.v1 / fp.v0)
+        gmv = min_variance_portfolio(fp, model, fp.segment.hi)
     except WctsvError as exc:
         _fail(str(exc))
     payload = {

@@ -9,6 +9,7 @@ imputed, because a silently patched panel would corrupt the backtest.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date as _date
@@ -65,55 +66,70 @@ def _parse_date(text: str, line: int) -> str:
         raise ParseError(f"bad date {text!r}: {exc}", line=line) from exc
 
 
+def _csv_rows(path):
+    """The file's CSV records; undecodable bytes and malformed CSV (such as
+    a cell over the csv module's field limit) raise :class:`ParseError`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason}", line=line) from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
+
+
 def load_price_panel(path) -> PricePanel:
     """Read and validate a close-price CSV; see the module docstring."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if not header or header[0] != "date":
-            raise ParseError("header must start with 'date'", line=1)
-        tickers = tuple(h.strip() for h in header[1:])
-        if not tickers or any(not t for t in tickers):
-            raise ParseError("header needs at least one non-empty ticker", line=1)
-        if len(set(tickers)) != len(tickers):
-            dupes = sorted({t for t in tickers if tickers.count(t) > 1})
-            raise ParseError(f"duplicate ticker columns: {', '.join(dupes)}", line=1)
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty file", line=1)
+    if not header or header[0] != "date":
+        raise ParseError("header must start with 'date'", line=1)
+    tickers = tuple(h.strip() for h in header[1:])
+    if not tickers or any(not t for t in tickers):
+        raise ParseError("header needs at least one non-empty ticker", line=1)
+    if len(set(tickers)) != len(tickers):
+        dupes = sorted({t for t in tickers if tickers.count(t) > 1})
+        raise ParseError(f"duplicate ticker columns: {', '.join(dupes)}", line=1)
 
-        dates: list[str] = []
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(tickers) + 1:
+    dates: list[str] = []
+    rows: list[list[float]] = []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(tickers) + 1:
+            raise ParseError(
+                f"expected {len(tickers) + 1} cells, found {len(row)}", line=line_no
+            )
+        day = _parse_date(row[0].strip(), line_no)
+        if dates and day <= dates[-1]:
+            raise UnsortedDates(
+                f"date {day} does not follow {dates[-1]}", line=line_no
+            )
+        prices = []
+        for ticker, cell in zip(tickers, row[1:]):
+            text = cell.strip()
+            if not text:
+                raise ParseError(f"missing price for {ticker}", line=line_no)
+            try:
+                value = float(text)
+            except ValueError as exc:
                 raise ParseError(
-                    f"expected {len(tickers) + 1} cells, found {len(row)}", line=line_no
+                    f"bad price {text!r} for {ticker}", line=line_no
+                ) from exc
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"non-finite price {text!r} for {ticker}", line=line_no
                 )
-            day = _parse_date(row[0].strip(), line_no)
-            if dates and day <= dates[-1]:
-                raise UnsortedDates(
-                    f"date {day} does not follow {dates[-1]}", line=line_no
-                )
-            prices = []
-            for ticker, cell in zip(tickers, row[1:]):
-                text = cell.strip()
-                if not text:
-                    raise ParseError(f"missing price for {ticker}", line=line_no)
-                try:
-                    value = float(text)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"bad price {text!r} for {ticker}", line=line_no
-                    ) from exc
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"non-finite price {text!r} for {ticker}", line=line_no
-                    )
-                if value <= 0.0:
-                    raise NonPositivePrice(line=line_no, ticker=ticker)
-                prices.append(value)
-            dates.append(day)
-            rows.append(prices)
+            if value <= 0.0:
+                raise NonPositivePrice(line=line_no, ticker=ticker)
+            prices.append(value)
+        dates.append(day)
+        rows.append(prices)
 
     if not rows:
         raise ParseError("no data rows", line=2)

@@ -207,6 +207,8 @@ def witness_family(
     floor = max(t - mu, 0.0)
 
     if fam is Family.SYMMETRIC:
+        # exact equality: on the floor the supremum jumps to 0 (a real
+        # discontinuity), so only lam == floor itself takes this branch
         if lam is not None and lam == floor and lam > 0.0:
             # every member lives below t; feasible only for sigma <= t - mu
             if sg <= t - mu:
@@ -238,7 +240,8 @@ def witness_family(
             raise NoKnownWitness("shrink eps: three-point tails break the budget at this eps")
         return d
 
-    # arbitrary / non-negative: boundary case, then the exploding-atom family
+    # arbitrary / non-negative: boundary case (exact equality, as above: the
+    # supremum jumps to 0 on the floor), then the exploding-atom family
     if lam is not None and lam == floor and lam > 0.0:
         lo = 0.0 if fam is Family.NON_NEGATIVE else -math.inf
         try:

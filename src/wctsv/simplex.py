@@ -11,24 +11,26 @@ so every simplex portfolio meets the budget and the frontier needs no
 ``xi >= t - lam`` cut.
 
 Markowitz's critical-line algorithm builds that half exactly as a chain of
-segments on which the weights are affine in ``xi`` and the variance is a
-quadratic in ``xi``.  Each solver evaluates its
-objective at every segment end and at the in-segment roots of the linear or
-quadratic equations that locate branch boundaries and stationary points,
-and keeps the smallest.  There is no search, seed or step size.
+:class:`wctsv.frontier._Segment`, the type that also holds the
+short-selling frontier, and both solvers use the exact minimizers the
+short-selling rules use: EEP_TSV the sign rule of
+:func:`wctsv.frontier._tsv_minimizer`, EEP_TSV_S the first smallest of
+:func:`wctsv.frontier._segment_candidates`.  Segment weights are clipped at
+0 here, where the frontier is long-only.  A caller solving both rules on
+one model can walk the chain once and pass it to each.  There is no
+search, seed or step size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptyUncertaintySet, InfeasibleBudget, InvalidBudget, InvalidThreshold, NonConvergence
 )
-from .frontier import MarketModel, Portfolio, _segment_candidates
+from .frontier import MarketModel, Portfolio, _Segment, _segment_candidates, _tsv_minimizer
 from .worst_case import (
     Family,
     MomentProfile,
@@ -126,29 +128,6 @@ def _active_set_qp(q2: np.ndarray, c: np.ndarray):
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class _Segment:
-    """One piece of the lower long-only frontier.  For ``xi`` in ``[lo, hi]``
-    and ``u = xi - hi`` the weights on ``free`` are ``p + q u`` and the
-    variance is ``V = a u^2 + b u + c``.  Centring on ``hi`` keeps the
-    coefficients well conditioned where ``V`` is steep (nearly equal free
-    means), which an expansion about ``xi = 0`` would not."""
-
-    free: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    lo: float
-    hi: float
-    a: float
-    b: float
-    c: float
-
-    def weights(self, dim: int, xi: float) -> np.ndarray:
-        w = np.zeros(dim)
-        w[self.free] = np.maximum(self.p + self.q * (xi - self.hi), 0.0)
-        return w
-
-
 def _long_only_frontier(m: MarketModel) -> list[_Segment]:
     """Lower half of the long-only minimum-variance frontier.
 
@@ -223,24 +202,25 @@ def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
     return max(stationarity, dual) / (1.0 + abs(gamma))
 
 
-def eep_tsv_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
+def eep_tsv_portfolio(
+    m: MarketModel, t: float, lam: float, frontier: list[_Segment] | None = None
+) -> Portfolio:
     """Long-only minimizer of the budgeted arbitrary-family worst case.
 
     Above the budget floor the objective ``f = V(xi) + (xi - t)_+^2`` is
-    convex and differentiable along the frontier, so its minimizer is where
-    ``f'`` changes sign: the first segment, walking down from the global
-    minimum-variance point, whose lower end has ``f' <= 0`` holds it at the
-    root of ``V' + 2 (xi - t) = 0`` (above ``t``) or of ``V' = 0`` (below);
-    if no segment has, it is the ``min mu`` end.  Locating it by the sign
-    of ``f'`` rather than by comparing values stays exact where the
-    frontier is so steep that ``f`` is flat to rounding.  The KKT
-    conditions over the simplex are checked at the result to ``KKT_TOL``.
-    When the budget sits exactly on its floor the binding vertex is the
-    whole feasible story and the objective collapses to 0.
+    convex and differentiable along the long-only frontier (``frontier``,
+    walked here when not given), and :func:`wctsv.frontier._tsv_minimizer`
+    finds its minimizer by the sign of ``f'``.  The KKT conditions over the
+    simplex are checked at the result to ``KKT_TOL``.  When the budget sits
+    exactly on its floor the binding vertex is the whole feasible story and
+    the objective collapses to 0.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
     floor = _budget_floor(m, t)
+    # Exact float equality on purpose: the supremum really jumps to 0 on the
+    # floor (every member has X <= t), and just above it takes its positive
+    # value, so no tolerance band belongs here.
     if lam == floor and floor > 0.0:
         j = int(np.argmin(mu))
         w = np.zeros(m.dim)
@@ -253,18 +233,8 @@ def eep_tsv_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
             regime="lambda == (xi-t)_-",
         )
 
-    segments = _long_only_frontier(m)
-    seg = segments[-1]
-    u = seg.lo - seg.hi
-    for s in segments:
-        tl, bottom = t - s.hi, s.lo - s.hi
-        if 2.0 * s.a * bottom + s.b + 2.0 * max(bottom - tl, 0.0) <= 0.0:
-            u = (2.0 * tl - s.b) / (2.0 * s.a + 2.0)
-            if u < tl:
-                u = -s.b / (2.0 * s.a)
-            seg, u = s, min(max(u, bottom), 0.0)
-            break
-    w = seg.weights(m.dim, seg.hi + u)
+    seg, root = _tsv_minimizer(frontier or _long_only_frontier(m), t)
+    w = np.maximum(seg.weights(m.dim, root), 0.0)
 
     xi = float(w @ mu)
     up = max(xi - t, 0.0)
@@ -281,12 +251,15 @@ def eep_tsv_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
     )
 
 
-def eep_tsv_s_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
+def eep_tsv_s_portfolio(
+    m: MarketModel, t: float, lam: float, frontier: list[_Segment] | None = None
+) -> Portfolio:
     """Long-only minimizer of the budgeted symmetric-family worst case.
 
     The candidates are those of :func:`wctsv.frontier._segment_candidates`
-    on every frontier segment plus every vertex (where the exact-equality
-    floor branch can fire).  Each is scored by the closed form at its
+    on every segment of the long-only frontier (``frontier``, walked here
+    when not given) plus every vertex (where the exact-equality floor
+    branch can fire).  Each is scored by the closed form at its
     rebuilt weights, and a feasible-direction screen checks the winner
     independently.
     """
@@ -294,20 +267,20 @@ def eep_tsv_s_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
     mu, cov = m.mu_vec, m.cov
     d = m.dim
 
-    def value(w) -> float:
-        xi = float(w @ mu)
+    def profile(w) -> MomentProfile:
         sigma = max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
+        return MomentProfile(float(w @ mu), sigma)
+
+    def value(w) -> float:
         try:
-            return wc_target_semivariance_constrained(
-                MomentProfile(xi, sigma), t, lam, Family.SYMMETRIC
-            ).value
+            return wc_target_semivariance_constrained(profile(w), t, lam, Family.SYMMETRIC).value
         except EmptyUncertaintySet:
             return math.inf
 
     candidates = []
-    for seg in _long_only_frontier(m):
-        us = _segment_candidates(seg.a, seg.b, seg.c, seg.lo, seg.hi, t, lam)
-        candidates.extend(seg.weights(d, seg.hi + u) for u in us)
+    for seg in frontier or _long_only_frontier(m):
+        xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
+        candidates.extend(np.maximum(seg.weights(d, xi), 0.0) for xi in xs)
     candidates.extend(np.eye(d))
 
     best_w, best_f = None, math.inf
@@ -332,15 +305,12 @@ def eep_tsv_s_portfolio(m: MarketModel, t: float, lam: float) -> Portfolio:
             if (value(best_w + h * e) - best_f) / h < -slack:
                 raise NonConvergence(f"descent direction remains (pair {i},{j})")
 
-    xi = float(best_w @ mu)
-    sigma = max(math.sqrt(max(float(best_w @ cov @ best_w), 0.0)), SIGMA_FLOOR)
-    tag = wc_target_semivariance_constrained(
-        MomentProfile(xi, sigma), t, lam, Family.SYMMETRIC
-    ).regime
+    best = profile(best_w)
+    tag = wc_target_semivariance_constrained(best, t, lam, Family.SYMMETRIC).regime
     return Portfolio(
         weights=best_w,
-        expected_loss=xi,
-        stdev=sigma,
+        expected_loss=best.mu,
+        stdev=best.sigma,
         objective=best_f,
         regime=tag,
     )

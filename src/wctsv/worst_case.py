@@ -244,7 +244,9 @@ def wc_target_semivariance_constrained(
             f"E[(X-t)_-] <= {lam} at t={t}"
         )
     if lam == floor:
-        # Jensen equality pins X <= t a.s., so the upside is empty.
+        # Jensen equality pins X <= t a.s., so the upside is empty.  Exact
+        # float equality on purpose: the supremum really jumps to 0 here,
+        # and one ulp above the floor it takes the positive branch's value.
         return WorstCaseValue(0.0, "lambda == (mu-t)_-")
     if fam is not Family.SYMMETRIC:
         val = sg * sg + _pos_part(mu - t) ** 2

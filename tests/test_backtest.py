@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wctsv import TooFewRows
+import wctsv.backtest
+from wctsv import NonConvergence, TooFewRows
 from wctsv.backtest import (
     MODEL_ORDER,
     BacktestConfig,
@@ -145,6 +146,42 @@ class TestRunBacktest:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             run_backtest(random_panel(0, rows=9), BacktestConfig(window=9))
+
+    def test_shared_long_only_frontier_matches_solo_solves(self, monkeypatch):
+        # the engine walks the long-only frontier once per day for both EEP
+        # rules; each rule walking its own gives the same Portfolio
+        solves = []
+        for name in ("eep_tsv_portfolio", "eep_tsv_s_portfolio"):
+            solver = getattr(wctsv.backtest, name)
+
+            def record(model, t, lam, frontier, solver=solver):
+                pf = solver(model, t, lam, frontier)
+                solves.append((solver, model, t, lam, frontier, pf))
+                return pf
+
+            monkeypatch.setattr(wctsv.backtest, name, record)
+        res = run_backtest(random_panel(3), BacktestConfig(window=9, t=0.0, lam=0.02))
+        assert len(solves) == 2 * len(res.oos_dates)
+        for solver, model, t, lam, frontier, pf in solves:
+            assert frontier is not None
+            solo = solver(model, t, lam)
+            np.testing.assert_array_equal(solo.weights, pf.weights)
+            assert (solo.expected_loss, solo.stdev, solo.objective, solo.regime) == (
+                pf.expected_loss, pf.stdev, pf.objective, pf.regime
+            )
+
+    def test_failed_shared_walk_is_left_to_the_solvers(self, monkeypatch):
+        cfg = BacktestConfig(window=9, nu=0.001)
+        want = run_backtest(random_panel(3), cfg)
+
+        def fail(model):
+            raise NonConvergence("walk failed")
+
+        monkeypatch.setattr(wctsv.backtest, "_long_only_frontier", fail)
+        got = run_backtest(random_panel(3), cfg)
+        assert got.failures == want.failures == ()
+        for a, b in zip(want.runs, got.runs):
+            np.testing.assert_array_equal(a.weights, b.weights)
 
 
 def run_of(returns, wealth, model="MV", failure=None):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ def random_model(seed, d=4):
     cov = a @ a.T + 0.5 * np.eye(d)
     mu = rng.normal(scale=0.5, size=d)
     return MarketModel(tuple(f"X{i}" for i in range(d)), mu, cov)
+
+
+def steep_model():
+    """Means 0.1 +/- 1e-5: v0 is about 2.9e10, where the expanded parabola
+    v0 xi^2 - 2 v1 xi + v2 cancels to a few digits near the vertex."""
+    m = random_model(1)
+    return MarketModel(m.assets, 0.1 + 2e-5 * m.mu_vec, m.cov)
 
 
 class TestFrontierParams:
@@ -77,10 +85,11 @@ class TestMinVariance:
         assert pf.objective == pytest.approx(0.58, abs=1e-12)
 
     def test_constraints_hold_exactly(self):
-        for seed in range(5):
-            m = random_model(seed)
+        cases = [(random_model(seed), (-1.0, 0.0, 0.4, 2.5)) for seed in range(5)]
+        cases.append((steep_model(), (0.1 - 1e-5, 0.1 - 1e-6, 0.1, 0.1 + 1e-5)))
+        for m, xis in cases:
             fp = frontier_params(m)
-            for xi in (-1.0, 0.0, 0.4, 2.5):
+            for xi in xis:
                 pf = min_variance_portfolio(fp, m, xi)
                 assert float(pf.weights.sum()) == pytest.approx(1.0, abs=1e-10)
                 assert pf.expected_loss == pytest.approx(xi, abs=1e-10)
@@ -163,6 +172,18 @@ def h_frontier(fp, t, xi):
     return wc_target_semivariance(MomentProfile(xi, sigma), t, Family.SYMMETRIC).value
 
 
+def h_frontier_decimal(fp, t, xi):
+    """h_frontier in 60-digit arithmetic on the vertex form of the frontier."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v0, v1, u, x, t = (Decimal(v) for v in (fp.v0, fp.v1, fp.u, xi, t))
+        var = v0 * (x - v1 / v0) ** 2 + 1 / (u * v0)
+        sigma = var.sqrt()
+        if t <= x - sigma:
+            return var + (t - x) ** 2
+        return (x - t + sigma) ** 2 / 2 if t <= x else var / 2
+
+
 class TestMTsvS:
     def test_case_i_matches_classical(self):
         m = two_asset()
@@ -205,6 +226,7 @@ class TestMTsvS:
             (random_model(4), 1.0, 0.9),
             (daily, 0.007, -0.007),
             (steep, 0.6, -0.4),
+            (steep_model(), 0.1 + 1e-5, 0.1 - 1e-5),
         ]:
             fp = frontier_params(m)
             pf = m_tsv_s_portfolio(fp, m, nu=nu, t=t)
@@ -212,6 +234,8 @@ class TestMTsvS:
                 MomentProfile(pf.expected_loss, pf.stdev), t, Family.SYMMETRIC
             ).value
             assert pf.objective == pytest.approx(want, rel=1e-9)
+            exact = h_frontier_decimal(fp, t, pf.expected_loss)
+            assert abs(Decimal(pf.objective) - exact) <= Decimal("1e-12") * exact
             assert pf.regime in ("i", "ii", "iii")
             assert float(pf.weights.sum()) == pytest.approx(1.0, abs=1e-10)
             # no feasible frontier point does better

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wctsv import (
     DegenerateMeans,
@@ -8,6 +10,7 @@ from wctsv import (
     ParseError,
     TooFewRows,
     UnsortedDates,
+    WctsvError,
     WindowTooLarge,
 )
 from wctsv.market_data import (
@@ -88,6 +91,47 @@ class TestLoadPricePanel:
     def test_error_message_carries_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
             load_price_panel(write_csv(tmp_path, "date,A\n2024-01-02,abc\n"))
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,A\n2024-01-02,100\n2024-01-03,1\xff0\n")
+        with pytest.raises(ParseError) as exc:
+            load_price_panel(path)
+        assert exc.value.line == 3
+
+    def test_cell_over_csv_field_limit(self, tmp_path):
+        body = "date,A\n2024-01-02," + "1" * 200_000 + "\n"
+        with pytest.raises(ParseError) as exc:
+            load_price_panel(write_csv(tmp_path, body))
+        assert exc.value.line == 2
+
+
+DATE_CELLS = st.sampled_from(["2024-01-02", "2024-01-03", "2024-01-04", "2024-13-01", ""])
+PRICE_CELLS = st.sampled_from(["100", "1e3", "0.5", "-1", "0", "nan", "", '"7"', "x"])
+
+
+@st.composite
+def csv_like(draw):
+    """Header plus rows built from valid and invalid cells, some of them a valid panel."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(DATE_CELLS, st.lists(PRICE_CELLS, min_size=n, max_size=n)),
+                         min_size=1, max_size=4))
+    lines = ["date," + ",".join("ABC"[:n])] + [",".join([d, *ps]) for d, ps in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@given(st.binary(max_size=300) | csv_like() | st.tuples(csv_like(), st.binary()).map(b"".join))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_arbitrary_bytes_give_a_valid_panel_or_wctsv_error(tmp_path, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        panel = load_price_panel(path)
+    except WctsvError:
+        return
+    assert panel.close.shape == (len(panel.dates), len(panel.tickers))
+    assert np.isfinite(panel.close).all() and (panel.close > 0.0).all()
+    assert all(a < b for a, b in zip(panel.dates, panel.dates[1:]))
 
 
 class TestComputeLosses:

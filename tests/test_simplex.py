@@ -128,6 +128,11 @@ class TestEepTsv:
         assert pf.objective == 0.0
         np.testing.assert_array_equal(pf.weights, [1.0, 0.0])
         assert pf.regime == "lambda == (xi-t)_-"
+        # one ulp above the floor the supremum takes its positive value
+        pf = eep_tsv_portfolio(two_asset(), t=0.5, lam=math.nextafter(0.5, math.inf))
+        assert pf.objective == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(pf.weights, [0.5, 0.5], atol=1e-12)
+        assert pf.regime == "lambda > (xi-t)_-"
 
     def test_infeasible_budget(self):
         m = MarketModel(("A", "B"), np.array([-0.05, 0.01]), np.eye(2))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wctsv import (
@@ -86,6 +86,12 @@ def test_regime_tags_are_stable():
     assert got.regime == "sigma>2m; t<=mu"
     got = wc_target_semivariance_constrained(profile(0, 2), 2.0, 2.0, SYM)
     assert got.regime == "lambda == (mu-t)_-"
+    # the supremum jumps on the floor lam = t - mu: 0 there, the positive
+    # branch's value one ulp above it
+    above = math.nextafter(2.0, math.inf)
+    for fam, positive in ((SYM, 2.0), (ARB, 4.0)):
+        assert wc_target_semivariance_constrained(profile(0, 2), 2.0, 2.0, fam).value == 0.0
+        assert wc_target_semivariance_constrained(profile(0, 2), 2.0, above, fam).value == positive
 
 
 @pytest.mark.parametrize(
@@ -296,6 +302,29 @@ def test_values_decrease_in_threshold(ms, fam):
     hi = wc_target_semivariance(p, t + 0.5 * sigma, fam).value
     assert hi <= lo + 1e-12
     assert wc_expected_regret(p, t + 0.5 * sigma, fam).value <= wc_expected_regret(p, t, fam).value + 1e-12
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p, t, lam, fam: wc_expected_regret(p, t, fam),
+        lambda p, t, lam, fam: wc_target_semivariance(p, t, fam),
+        lambda p, t, lam, fam: wc_target_semivariance_constrained(p, t, lam, fam),
+    ],
+    ids=["regret", "tsv", "tsv_constrained"],
+)
+@given(moments, st.floats(0.0, 2.0), st.none() | st.floats(1e-6, 4.0), st.sampled_from([ARB, SYM, NN]))
+@settings(max_examples=200, deadline=None)
+def test_non_decreasing_in_sigma(evaluate, ms, d_sigma, extra, fam):
+    mu, sigma, q = ms
+    t = mu + q * sigma
+    # lam is None (no budget) or above the floor (mu - t)_-
+    lam = None if extra is None else max(t - mu, 0.0) + extra
+    # the non-negative set is empty unless mu > 0
+    assume(fam is not NN or mu > 0.0)
+    base = evaluate(profile(mu, sigma), t, lam, fam).value
+    wider = evaluate(profile(mu, sigma + d_sigma), t, lam, fam).value
+    assert base <= wider + 1e-12 * (1.0 + base)
 
 
 @given(moments)
