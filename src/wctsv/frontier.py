@@ -13,6 +13,7 @@ the candidates of :func:`_segment_candidates` (M_TSV_S and EEP_TSV_S).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,15 +47,20 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MarketModel:
-    """Asset identifiers with per-period loss mean vector and covariance."""
+    """Asset identifiers with per-period loss mean vector and covariance.
+
+    Immutable: it holds read-only copies of the arrays it validated, so
+    results computed from a model (see :func:`frontier_params`) stay valid.
+    """
 
     assets: tuple[str, ...]
     mu_vec: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu_vec, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        mu = np.array(self.mu_vec, dtype=float)
+        cov = np.array(self.cov, dtype=float)
+        mu.flags.writeable = cov.flags.writeable = False
         object.__setattr__(self, "assets", tuple(self.assets))
         object.__setattr__(self, "mu_vec", mu)
         object.__setattr__(self, "cov", cov)
@@ -134,6 +140,7 @@ class Portfolio:
     regime: str
 
 
+@functools.lru_cache(maxsize=1)
 def frontier_params(m: MarketModel) -> FrontierParams:
     """The scalars (u, v0, v1, v2) and the segment of the frontier.
 
@@ -141,7 +148,10 @@ def frontier_params(m: MarketModel) -> FrontierParams:
     checked to be positive definite; the inverse is never formed.  Raises
     :class:`DegenerateMeans` when the mean vector is (numerically) a
     multiple of the all-ones vector, which collapses the frontier to a
-    single point.
+    single point.  The last model's result is kept, keyed by identity
+    (models are immutable), so the check in
+    :func:`wctsv.market_data.estimate_moments` and the backtest's own call
+    on the same day solve once.
     """
     e = np.ones(m.dim)
     inv_mu, inv_e = np.ascontiguousarray(np.linalg.solve(m.cov, np.column_stack([m.mu_vec, e])).T)

@@ -177,5 +177,5 @@ def estimate_moments(
         ridge = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d
     cov = cov + ridge * np.eye(d)
     model = MarketModel(assets=panel.tickers, mu_vec=mu, cov=cov)
-    frontier_params(model)  # surfaces DegenerateMeans for flat cross-sections
+    frontier_params(model)  # raises DegenerateMeans; the result stays cached for the caller
     return model

@@ -17,8 +17,11 @@ short-selling rules use: EEP_TSV the sign rule of
 :func:`wctsv.frontier._tsv_minimizer`, EEP_TSV_S the first smallest of
 :func:`wctsv.frontier._segment_candidates`.  Segment weights are clipped at
 0 here, where the frontier is long-only.  A caller solving both rules on
-one model can walk the chain once and pass it to each.  There is no
-search, seed or step size.
+one model can walk the chain once and pass it to each.  Each answer is
+checked exactly from the walk's own data: EEP_TSV by its KKT residual,
+EEP_TSV_S by the frontier KKT residual at ``kappa = -V'(xi)`` plus the
+one-sided slopes of its objective along the chain.  There is no search,
+seed, step size or finite difference.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .frontier import MarketModel, Portfolio, _Segment, _segment_candidates, _ts
 from .worst_case import (
     Family,
     MomentProfile,
+    _symmetric_slope,
     wc_target_semivariance_constrained,
 )
 
@@ -47,6 +51,7 @@ __all__ = [
 SIGMA_FLOOR = 1e-12
 ACTIVE_TOL = 1e-12
 KKT_TOL = 1e-8
+VALUE_TIE = 1e-13
 
 
 def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
@@ -251,6 +256,60 @@ def eep_tsv_portfolio(
     )
 
 
+def _certify_symmetric(
+    chain: list[_Segment], w: np.ndarray, p: MomentProfile, f: float,
+    m: MarketModel, t: float, lam: float,
+) -> None:
+    """Raise :class:`NonConvergence` unless EEP_TSV_S's winner ``w`` (at
+    ``p``, value ``f``) passes an exact first-order optimality check.
+
+    Value 0 is a global minimum, since the objective is never negative.
+    Otherwise ``w`` must lie on the frontier: its segment is found by its
+    ``xi`` (to 1e-12 relative, as the chain's ends carry rounding) and the
+    KKT conditions of ``min w^T cov w + kappa mu^T w`` must hold at
+    ``kappa = -V'(xi)``.  Then no feasible direction moves ``sigma`` less
+    than the frontier does for the same change in ``xi``, so it remains to
+    check the objective's one-sided slopes along the frontier:
+    ``D- <= 0`` (unless ``xi = min mu``) and ``D+ >= 0`` (unless ``xi`` is
+    the top).  Scoring tells candidates apart only down to rounding in
+    value, so each slope is taken ``delta`` away on its side, where the
+    objective (curvature about ``a + 1``) moves by ``VALUE_TIE * f``.  The
+    slopes are compared in weight units, times the spread of the means, as
+    a pair direction ``e_i - e_j`` moves ``xi`` by at most that much; per
+    unit of ``xi`` they are flat only to rounding on steep frontiers.
+    """
+    if f == 0.0:
+        return
+    mu = m.mu_vec
+    spread = float(mu.max() - mu.min())
+    xi = p.mu
+    tol = 1e-12 * (spread + abs(xi))
+    seg = next((s for s in chain if s.lo - tol <= xi <= s.hi + tol), None)
+    if seg is None:
+        raise NonConvergence(f"winner at xi={xi} is off the long-only frontier")
+    dv = 2.0 * seg.a * (xi - seg.hi) + seg.b
+    residual = _kkt_residual(w, 2.0 * m.cov @ w - dv * mu)
+    if residual > KKT_TOL:
+        raise NonConvergence(f"frontier KKT residual {residual:.3e} above {KKT_TOL}")
+
+    def slope(x: float) -> float:
+        u = x - seg.hi
+        sigma = max(math.sqrt(max((seg.a * u + seg.b) * u + seg.c, 0.0)), SIGMA_FLOOR)
+        dsigma = (2.0 * seg.a * u + seg.b) / (2.0 * sigma)
+        return _symmetric_slope(MomentProfile(x, sigma), t, lam, dsigma)
+
+    delta = math.sqrt(VALUE_TIE * f / (seg.a + 1.0))
+    left, right = slope(xi - delta), slope(xi + delta)
+    slack = KKT_TOL * f
+    if (xi > chain[-1].lo + tol and left * spread > slack) or (
+        xi < chain[0].hi - tol and right * spread < -slack
+    ):
+        raise NonConvergence(
+            f"objective still falls along the frontier at xi={xi} "
+            f"(slopes {left:.3e}, {right:.3e})"
+        )
+
+
 def eep_tsv_s_portfolio(
     m: MarketModel, t: float, lam: float, frontier: list[_Segment] | None = None
 ) -> Portfolio:
@@ -259,58 +318,41 @@ def eep_tsv_s_portfolio(
     The candidates are those of :func:`wctsv.frontier._segment_candidates`
     on every segment of the long-only frontier (``frontier``, walked here
     when not given) plus every vertex (where the exact-equality floor
-    branch can fire).  Each is scored by the closed form at its
-    rebuilt weights, and a feasible-direction screen checks the winner
-    independently.
+    branch can fire).  Each is scored by the closed form at its rebuilt
+    weights, the first smallest wins, and :func:`_certify_symmetric`
+    checks the winner's first-order optimality exactly.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
     d = m.dim
-
-    def profile(w) -> MomentProfile:
-        sigma = max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
-        return MomentProfile(float(w @ mu), sigma)
-
-    def value(w) -> float:
-        try:
-            return wc_target_semivariance_constrained(profile(w), t, lam, Family.SYMMETRIC).value
-        except EmptyUncertaintySet:
-            return math.inf
+    chain = frontier or _long_only_frontier(m)
 
     candidates = []
-    for seg in frontier or _long_only_frontier(m):
+    for seg in chain:
         xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
         candidates.extend(np.maximum(seg.weights(d, xi), 0.0) for xi in xs)
     candidates.extend(np.eye(d))
 
-    best_w, best_f = None, math.inf
+    best = None
     for w in candidates:
-        f = value(w)
-        if f < best_f:
-            best_w, best_f = w, f
-    if best_w is None:
+        sigma = max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
+        p = MomentProfile(float(w @ mu), sigma)
+        try:
+            r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
+        except EmptyUncertaintySet:
+            continue
+        if best is None or r.value < best[2].value:
+            best = (w, p, r)
+    if best is None:
         raise EmptyUncertaintySet(
             f"no simplex portfolio has a non-empty symmetric set at t={t}, lambda={lam}"
         )
-
-    # feasible-direction stationarity screen
-    h = 1e-7
-    slack = 100.0 * KKT_TOL * (1.0 + abs(best_f))
-    for i in range(d):
-        for j in range(d):
-            if i == j or best_w[j] < h:
-                continue
-            e = np.zeros(d)
-            e[i], e[j] = 1.0, -1.0
-            if (value(best_w + h * e) - best_f) / h < -slack:
-                raise NonConvergence(f"descent direction remains (pair {i},{j})")
-
-    best = profile(best_w)
-    tag = wc_target_semivariance_constrained(best, t, lam, Family.SYMMETRIC).regime
+    w, p, r = best
+    _certify_symmetric(chain, w, p, r.value, m, t, lam)
     return Portfolio(
-        weights=best_w,
-        expected_loss=best.mu,
-        stdev=best.sigma,
-        objective=best_f,
-        regime=tag,
+        weights=w,
+        expected_loss=p.mu,
+        stdev=p.sigma,
+        objective=r.value,
+        regime=r.regime,
     )

@@ -274,6 +274,26 @@ def wc_target_semivariance_constrained(
     return WorstCaseValue(val, f"{case}; {sub}")
 
 
+def _symmetric_slope(p: MomentProfile, t: float, lam: float, dsigma: float) -> float:
+    """Slope of the budgeted symmetric value above the floor along a path
+    with ``d mu = 1`` and ``d sigma = dsigma``: the derivative of the branch
+    that :func:`wc_target_semivariance_constrained` selects at ``p``.
+
+    With ``s = mu - t`` the branches' slopes are ``sigma dsigma``
+    (``t > mu``), ``2 sigma dsigma + 2s`` (``sigma <= s``),
+    ``(s + sigma)(1 + dsigma)`` (the two-point pair) and
+    ``sigma dsigma + 2 lam + 3s`` (budget binds).
+    """
+    s, sg = p.mu - t, p.sigma
+    if s < 0.0:
+        return sg * dsigma
+    if sg <= s:
+        return 2.0 * sg * dsigma + 2.0 * s
+    if sg < 2.0 * lam + s:
+        return (s + sg) * (1.0 + dsigma)
+    return sg * dsigma + 2.0 * lam + 3.0 * s
+
+
 def reflect_complement_bounds(p: MomentProfile, t: float, fam: Family) -> ComplementBounds:
     """All six sup/inf first- and second-order partial-moment bounds.
 

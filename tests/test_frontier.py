@@ -76,6 +76,18 @@ class TestFrontierParams:
         with pytest.raises(ValueError):
             MarketModel(("A",), np.array([0.0, 1.0]), np.eye(2))
 
+    def test_model_is_immutable_so_cached_params_stay_valid(self):
+        mu, cov = np.array([0.0, 1.0]), np.eye(2)
+        m = MarketModel(("A", "B"), mu, cov)
+        fp = frontier_params(m)
+        mu[1], cov[1, 1] = 3.0, 4.0  # the caller's arrays, not the model's
+        with pytest.raises(ValueError):
+            m.mu_vec[1] = 3.0
+        with pytest.raises(ValueError):
+            m.cov[1, 1] = 4.0
+        assert frontier_params(m) is fp
+        assert fp.v0 == frontier_params(MarketModel(("A", "B"), [0.0, 1.0], np.eye(2))).v0
+
 
 class TestMinVariance:
     def test_hand_example(self):

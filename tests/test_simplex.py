@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wctsv.simplex
 from wctsv import (
     EmptyUncertaintySet,
     Family,
@@ -12,12 +13,14 @@ from wctsv import (
     InvalidBudget,
     InvalidThreshold,
     MomentProfile,
+    NonConvergence,
     wc_target_semivariance,
     wc_target_semivariance_constrained,
 )
 from wctsv.frontier import MarketModel
 from wctsv.simplex import (
     _long_only_frontier,
+    _segment_candidates,
     check_regret_feasibility,
     eep_tsv_portfolio,
     eep_tsv_s_portfolio,
@@ -231,6 +234,108 @@ class TestEepTsvS:
         m = MarketModel(("A", "B"), np.array([-0.05, 0.01]), np.eye(2))
         with pytest.raises(InfeasibleBudget):
             eep_tsv_s_portfolio(m, t=0.0, lam=0.02)
+
+
+def test_certificate_rejects_ends_only_candidates(monkeypatch):
+    # with only segment ends as candidates, every solve whose minimizer lies
+    # inside a segment returns a winner that is not first-order optimal
+    interior = []
+    for seed in range(12):
+        m = random_model(seed, d=2 + seed % 5)
+        chain = _long_only_frontier(m)
+        ends = [x for s in chain for x in (s.lo, s.hi)]
+        for t in (-0.5, 0.0, 0.3):
+            lam = max(t - float(m.mu_vec.min()), 0.0) + 0.5
+            xi = eep_tsv_s_portfolio(m, t, lam).expected_loss
+            if min(abs(xi - e) for e in ends) > 1e-6:
+                interior.append((m, t, lam))
+    assert len(interior) >= 15
+
+    monkeypatch.setattr(
+        wctsv.simplex, "_segment_candidates", lambda *args: _segment_candidates(*args)[:2]
+    )
+    for m, t, lam in interior:
+        with pytest.raises(NonConvergence):
+            eep_tsv_s_portfolio(m, t, lam)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_certificate_rejects_weights_off_the_frontier(seed):
+    # moving each segment's weights along v with 1^T v = mu^T v = 0 keeps xi
+    # and the segment's V(xi) but leaves the frontier: only the KKT check sees it
+    m = random_model(seed)
+    t = 0.05
+    lam = max(t - float(m.mu_vec.min()), 0.0) + 0.8
+    rng = np.random.default_rng(0)
+    bent = []
+    for s in _long_only_frontier(m):
+        if s.free.size >= 3:
+            basis = np.column_stack([np.ones(s.free.size), m.mu_vec[s.free]])
+            v = rng.normal(size=s.free.size)
+            v -= basis @ np.linalg.lstsq(basis, v, rcond=None)[0]
+            s = s._replace(p=s.p + 1e-4 * v)
+        bent.append(s)
+    with pytest.raises(NonConvergence, match="KKT"):
+        eep_tsv_s_portfolio(m, t, lam, bent)
+
+
+def grid_model(kind, seed, d):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T + 0.5 * np.eye(d)
+    if kind == "daily":
+        cov, mu = 1e-4 * cov, rng.normal(scale=1e-3, size=d)
+    elif kind == "steep":
+        mu = 0.1 + rng.normal(scale=1e-6, size=d)
+    else:  # tied
+        mu = rng.choice([-0.2, 0.1, 0.1, 0.3], size=d)
+    return MarketModel(tuple(f"X{i}" for i in range(d)), mu, cov)
+
+
+def candidate_minimum(m, t, lam):
+    """The first smallest closed-form value over the exact candidates."""
+    d = m.dim
+    ws = [
+        np.maximum(s.weights(d, x), 0.0)
+        for s in _long_only_frontier(m)
+        for x in _segment_candidates(s, s.lo, s.hi, t, lam)
+    ]
+    return min(h_sym(m, t, lam, w) for w in ws + list(np.eye(d)))
+
+
+# steep frontiers on which the winner ties its neighbours to rounding, tied
+# means whose frontier starts with V' < 0, and daily-scale models
+NO_FALSE_ALARM_MODELS = [
+    ("steep", 1010, 3), ("steep", 1106, 3), ("steep", 1246, 2), ("steep", 1294, 2),
+    ("steep", 1342, 2), ("tied", 1351, 4), ("tied", 1003, 1), ("tied", 1007, 2),
+    ("daily", 1001, 1), ("daily", 1005, 2), ("daily", 1045, 12),
+]
+
+
+@pytest.mark.parametrize("kind,seed,d", NO_FALSE_ALARM_MODELS)
+def test_certificate_accepts_steep_tied_and_daily_frontiers(kind, seed, d):
+    m = grid_model(kind, seed, d)
+    lo, hi = float(m.mu_vec.min()), float(m.mu_vec.max())
+    scale = math.sqrt(float(np.mean(np.diag(m.cov))))
+    for t in (lo - 2.0 * scale, lo, 0.5 * (lo + hi), hi, hi + 2.0 * scale):
+        for extra in (0.01, 0.1, 1.0, 10.0):
+            lam = max(t - lo, 0.0) + extra * scale
+            pf = eep_tsv_s_portfolio(m, t, lam)
+            assert pf.objective == candidate_minimum(m, t, lam)
+
+
+# the chain's low end is one ulp below min mu = -0.7; with seed 3 at
+# lam = 0.25 the vertex e_B itself wins, at lam = 2.5 the chain's end
+@pytest.mark.parametrize("seed,lam,objective", [
+    (35, 0.25, 1.1498159957598915), (35, 2.5, 1.1498159957598915),
+    (3, 0.25, 0.7835844856380455), (3, 2.5, 0.8431595303511327),
+])
+def test_two_asset_chain_end_one_ulp_below_min_mu(seed, lam, objective):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2))
+    m = MarketModel(("A", "B"), np.array([0.0, -0.7]), a @ a.T + 0.5 * np.eye(2))
+    assert _long_only_frontier(m)[-1].lo == -0.7000000000000001
+    assert eep_tsv_s_portfolio(m, -1.0, lam).objective == objective
 
 
 @pytest.mark.parametrize("solver", [eep_tsv_portfolio, eep_tsv_s_portfolio])

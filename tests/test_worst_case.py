@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wctsv import (
@@ -19,6 +19,7 @@ from wctsv import (
     wc_target_semivariance,
     wc_target_semivariance_constrained,
 )
+from wctsv.worst_case import _symmetric_slope
 
 ARB, SYM, NN = Family.ARBITRARY, Family.SYMMETRIC, Family.NON_NEGATIVE
 
@@ -340,3 +341,35 @@ def test_complement_identity(ms):
         assert isinstance(b, ComplementBounds)
         assert b.inf_plus2 >= -1e-12 and b.inf_minus2 >= -1e-12
         assert b.inf_plus1 <= b.sup_plus1 + 1e-12
+
+
+@given(
+    mu=st.floats(-3.0, 3.0),
+    t=st.floats(-3.0, 3.0),
+    sigma=st.floats(1e-2, 5.0),
+    extra=st.floats(1e-3, 4.0),
+    d_sigma=st.floats(-3.0, 3.0),
+)
+@example(mu=0.0, t=1.0, sigma=1.0, extra=0.5, d_sigma=0.3)  # t > mu
+@example(mu=1.0, t=0.0, sigma=0.5, extra=1.0, d_sigma=0.3)  # sigma <= s
+@example(mu=1.0, t=0.0, sigma=1.5, extra=1.0, d_sigma=0.3)  # s < sigma < 2 lam + s
+@example(mu=0.5, t=0.0, sigma=3.0, extra=0.2, d_sigma=0.3)  # budget binds
+@settings(max_examples=300, deadline=None)
+def test_symmetric_slope_is_the_derivative_inside_each_regime(mu, t, sigma, extra, d_sigma):
+    # along mu + k, sigma + d_sigma k each branch is quadratic in k, so a
+    # central difference inside one regime is exact up to rounding
+    k = 1e-3
+    assume(sigma - abs(d_sigma) * k > 0.0)
+    lam = max(t - mu + k, 0.0) + extra  # above the floor at every point used
+
+    def at(step):
+        p = profile(mu + step, sigma + d_sigma * step)
+        return wc_target_semivariance_constrained(p, t, lam, SYM)
+
+    lo, mid, hi = at(-k), at(0.0), at(k)
+    # the regimes are cut out by lines in (mu, sigma), so equal tags at the
+    # ends put the whole path in one regime
+    assume(lo.regime == mid.regime == hi.regime)
+    slope = _symmetric_slope(profile(mu, sigma), t, lam, d_sigma)
+    assert slope == pytest.approx((hi.value - lo.value) / (2.0 * k), rel=1e-7, abs=1e-9)
+
