@@ -161,7 +161,12 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
             break
         fp = chain = None
         if any(name in short_selling for name in alive):
-            fp = frontier_params(model)
+            try:
+                fp = frontier_params(model)
+            except WctsvError as exc:  # equal means: only the short-selling rules fail
+                for name in short_selling.intersection(alive):
+                    histories[name]["failure"] = (day, str(exc))
+                alive = [name for name in alive if name not in short_selling]
         if any(name not in short_selling for name in alive):
             # a walk that fails is repeated by each EEP solver after its own
             # checks, so each fails (or returns its floor vertex) as it would alone

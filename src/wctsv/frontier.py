@@ -6,22 +6,24 @@ are chains of :class:`_Segment`: weights affine in ``xi`` and ``V``
 quadratic in vertex-centred form.  With short selling the frontier is the
 two-fund parabola, a single segment unbounded below (Merton 1972);
 long-only it is the chain walked by :func:`wctsv.simplex._long_only_frontier`.
-Two exact minimizers serve all five rules: :func:`_tsv_minimizer` (the
-sign of ``f'`` for ``f = V + (xi - t)_+^2``; TSV and EEP_TSV) and scoring
-the candidates of :func:`_segment_candidates` (M_TSV_S and EEP_TSV_S).
+Two exact minimizers serve all five rules.  TSV and EEP_TSV keep the sign
+rule :func:`_tsv_minimizer` (the sign of ``f'`` for
+``f = V + (xi - t)_+^2``, exact by convexity).  The two symmetric rules,
+M_TSV_S and EEP_TSV_S, keep the first smallest of the exact candidates of
+:func:`_segment_candidates`, and :func:`_certify_slopes` checks either
+winner by the objective's one-sided slopes along the frontier.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateMeans, InvalidThreshold, NotPositiveDefinite
-from .worst_case import Family, MomentProfile, wc_target_semivariance
+from .errors import DegenerateMeans, InvalidThreshold, NonConvergence, NotPositiveDefinite
+from .worst_case import Family, MomentProfile, _symmetric_slope, wc_target_semivariance
 
 __all__ = [
     "MarketModel",
@@ -36,6 +38,9 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 DEGENERACY_TOL = 1e-12
+SIGMA_FLOOR = 1e-12
+KKT_TOL = 1e-8
+VALUE_TIE = 1e-13
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
@@ -50,7 +55,8 @@ class MarketModel:
     """Asset identifiers with per-period loss mean vector and covariance.
 
     Immutable: it holds read-only copies of the arrays it validated, so
-    results computed from a model (see :func:`frontier_params`) stay valid.
+    results computed from a model (such as :func:`frontier_params`) stay
+    valid.
     """
 
     assets: tuple[str, ...]
@@ -140,7 +146,6 @@ class Portfolio:
     regime: str
 
 
-@functools.lru_cache(maxsize=1)
 def frontier_params(m: MarketModel) -> FrontierParams:
     """The scalars (u, v0, v1, v2) and the segment of the frontier.
 
@@ -148,10 +153,8 @@ def frontier_params(m: MarketModel) -> FrontierParams:
     checked to be positive definite; the inverse is never formed.  Raises
     :class:`DegenerateMeans` when the mean vector is (numerically) a
     multiple of the all-ones vector, which collapses the frontier to a
-    single point.  The last model's result is kept, keyed by identity
-    (models are immutable), so the check in
-    :func:`wctsv.market_data.estimate_moments` and the backtest's own call
-    on the same day solve once.
+    single point; the long-only frontier needs no such check, so only the
+    short-selling rules fail on such a model.
     """
     e = np.ones(m.dim)
     inv_mu, inv_e = np.ascontiguousarray(np.linalg.solve(m.cov, np.column_stack([m.mu_vec, e])).T)
@@ -249,9 +252,10 @@ def _segment_candidates(
     ``[lo, hi]`` lies within the segment.  ``sigma(xi)`` is convex and every
     branch is convex and non-decreasing in ``sigma``, so with
     ``u = xi - seg.hi``, ``V = a u^2 + b u + c`` and ``s = xi - t`` the
-    candidates are both ends and the in-range roots of the branch-boundary
-    and stationary-point equations below, in that order (``V'^2 = 4V`` is
-    ``sigma' = -1``).  ``lam=None`` (no budget) drops the two in ``lam``.
+    candidates are both ends (exactly as given) and the in-range roots of
+    the branch-boundary and stationary-point equations below, in that order
+    (``V'^2 = 4V`` is ``sigma' = -1``).  ``lam=None`` (no budget) drops the
+    two in ``lam``.
     """
     a, b, c = seg.a, seg.b, seg.c
     tl = t - seg.hi
@@ -267,26 +271,62 @@ def _segment_candidates(
         (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl) if budgeted else None,
         (4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c),  # V'^2 = 4V
     )
-    us = [hi - seg.hi, lo - seg.hi]
+    xs = [hi, lo]
     for coeffs in equations:
         if coeffs is not None:
-            us.extend(u for u in _real_roots(*coeffs) if lo <= seg.hi + u <= hi)
-    return [seg.hi + u for u in us]
+            xs.extend(x for x in (seg.hi + u for u in _real_roots(*coeffs)) if lo <= x <= hi)
+    return xs
+
+
+def _certify_slopes(
+    seg: _Segment, xi: float, f: float, t: float, lam: float | None,
+    bottom: float, top: float, spread: float,
+) -> None:
+    """Raise :class:`NonConvergence` unless the symmetric objective (value
+    ``f > 0`` at ``xi`` on ``seg``; ``lam=None`` is no budget) stops
+    falling along the frontier there.
+
+    The one-sided slopes must satisfy ``D- <= 0`` (unless ``xi`` is the
+    frontier's ``bottom``) and ``D+ >= 0`` (unless it is the ``top``); ends
+    match to 1e-12 relative, as chain ends carry rounding.  Scoring tells
+    candidates apart only down to rounding in value, so each slope is taken
+    ``delta`` away on its side, where the objective (curvature about
+    ``a + 1``) moves by ``VALUE_TIE * f``.  The slopes are compared in
+    weight units, times ``spread`` (that of the means), as a pair direction
+    ``e_i - e_j`` moves ``xi`` by at most that much; per unit of ``xi``
+    they are flat only to rounding on steep frontiers.
+    """
+    def slope(x: float) -> float:
+        u = x - seg.hi
+        sigma = max(math.sqrt(max((seg.a * u + seg.b) * u + seg.c, 0.0)), SIGMA_FLOOR)
+        dsigma = (2.0 * seg.a * u + seg.b) / (2.0 * sigma)
+        return _symmetric_slope(MomentProfile(x, sigma), t, lam, dsigma)
+
+    tol = 1e-12 * (spread + abs(xi))
+    delta = math.sqrt(VALUE_TIE * f / (seg.a + 1.0))
+    left, right = slope(xi - delta), slope(xi + delta)
+    slack = KKT_TOL * f
+    if (xi > bottom + tol and left * spread > slack) or (
+        xi < top - tol and right * spread < -slack
+    ):
+        raise NonConvergence(
+            f"objective still falls along the frontier at xi={xi} "
+            f"(slopes {left:.3e}, {right:.3e})"
+        )
 
 
 def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -> Portfolio:
     """Minimize worst-case symmetric target semi-variance with loss cap ``nu``.
 
-    Case (i): with ``t >= nu`` every feasible frontier point sits at or
-    below the threshold, where the objective is ``sigma^2 / 2``, so the
-    solution is the classical one at ``xi = min(v1/v0, nu)``.  Otherwise
-    the candidates are the below-threshold frontier vertex
-    ``xi1 = min(v1/v0, t)`` (case ii) and the best point of
-    ``[t, min(nu, v1/v0)]`` (case iii); the smaller objective wins, the
-    smaller ``xi`` on a tie within 1e-12.  Above the global minimum-variance
-    point ``v1/v0`` both ``xi`` and ``sigma`` rise and every branch is
-    non-decreasing in each, so case (iii) stops there; it keeps the first
-    smallest of the exact candidates of :func:`_segment_candidates`.
+    The feasible frontier is ``xi <= hi = min(nu, v1/v0)``: above the global
+    minimum-variance point ``v1/v0`` both ``xi`` and ``sigma`` rise, and
+    every branch is non-decreasing in each.  Below ``t`` the objective is
+    ``sigma^2 / 2``, which falls toward ``v1/v0``, so nothing below
+    ``min(t, hi)`` can win.  The answer is the first smallest of the exact
+    candidates of :func:`_segment_candidates` on ``[min(t, hi), hi]``,
+    checked by :func:`_certify_slopes` on the whole feasible frontier.  The
+    regime is where it lies: (i) ``t >= nu``, every feasible point at or
+    below the threshold; (ii) at or below ``t``; (iii) above ``t``.
     """
     if not (math.isfinite(nu) and math.isfinite(t)):
         raise InvalidThreshold(f"loss cap and threshold must be finite, got {nu} and {t}")
@@ -296,19 +336,11 @@ def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -
         return wc_target_semivariance(MomentProfile(xi, sigma), t, Family.SYMMETRIC).value
 
     seg = fp.segment
-    if t >= nu:
-        xi_star, tag = min(seg.hi, nu), "i"
-    else:
-        xi1 = min(seg.hi, t)
-        h1 = 0.5 * fp.variance_at(xi1)
-        hi = min(nu, seg.hi)
-        xs = _segment_candidates(seg, t, hi, t, None) if t <= hi else []
-        scores = [(h(x), x) for x in xs]
-        h2, xi2 = min(scores, key=lambda p: p[0], default=(math.inf, math.nan))
-        if h1 <= h2 + 1e-12:
-            xi_star, tag = xi1, "ii"
-        else:
-            xi_star, tag = xi2, "iii"
-    base = min_variance_portfolio(fp, m, xi_star)
-    value = h(xi_star)
+    hi = min(nu, seg.hi)
+    xs = _segment_candidates(seg, min(t, hi), hi, t, None)
+    value, xi = min(((h(x), x) for x in xs), key=lambda p: p[0])
+    spread = float(m.mu_vec.max() - m.mu_vec.min())
+    _certify_slopes(seg, xi, value, t, None, -math.inf, hi, spread)
+    tag = "i" if t >= nu else "ii" if xi <= t else "iii"
+    base = min_variance_portfolio(fp, m, xi)
     return Portfolio(base.weights, base.expected_loss, base.stdev, value, tag)

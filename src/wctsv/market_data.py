@@ -23,7 +23,7 @@ from .errors import (
     UnsortedDates,
     WindowTooLarge,
 )
-from .frontier import MarketModel, frontier_params
+from .frontier import MarketModel
 
 __all__ = [
     "PricePanel",
@@ -153,8 +153,9 @@ def estimate_moments(
     The covariance uses divisor ``window - 1`` and gains ``ridge`` on the
     diagonal; by default ridge is ``1e-8 * trace / d``, enough to lift
     near-singular windows without moving well-conditioned ones.  The model
-    is rejected outright when still not positive definite or when the mean
-    vector carries no cross-sectional information (proportional to ones).
+    is rejected outright when still not positive definite.  Equal means are
+    left to :func:`wctsv.frontier.frontier_params`, as only the
+    short-selling frontier needs them to differ.
     """
     n = panel.losses.shape[0]
     if not 0 <= end_index < n:
@@ -176,6 +177,4 @@ def estimate_moments(
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d
     cov = cov + ridge * np.eye(d)
-    model = MarketModel(assets=panel.tickers, mu_vec=mu, cov=cov)
-    frontier_params(model)  # raises DegenerateMeans; the result stays cached for the caller
-    return model
+    return MarketModel(assets=panel.tickers, mu_vec=mu, cov=cov)

@@ -14,14 +14,15 @@ Markowitz's critical-line algorithm builds that half exactly as a chain of
 :class:`wctsv.frontier._Segment`, the type that also holds the
 short-selling frontier, and both solvers use the exact minimizers the
 short-selling rules use: EEP_TSV the sign rule of
-:func:`wctsv.frontier._tsv_minimizer`, EEP_TSV_S the first smallest of
-:func:`wctsv.frontier._segment_candidates`.  Segment weights are clipped at
-0 here, where the frontier is long-only.  A caller solving both rules on
-one model can walk the chain once and pass it to each.  Each answer is
-checked exactly from the walk's own data: EEP_TSV by its KKT residual,
-EEP_TSV_S by the frontier KKT residual at ``kappa = -V'(xi)`` plus the
-one-sided slopes of its objective along the chain.  There is no search,
-seed, step size or finite difference.
+:func:`wctsv.frontier._tsv_minimizer`, like TSV; EEP_TSV_S the first
+smallest of :func:`wctsv.frontier._segment_candidates`, like M_TSV_S.
+Segment weights are clipped at 0 here, where the frontier is long-only.  A
+caller solving both rules on one model can walk the chain once and pass it
+to each.  Each answer is checked exactly from the walk's own data: EEP_TSV
+by its KKT residual, EEP_TSV_S by the frontier KKT residual at
+``kappa = -V'(xi)`` plus the slope certificate it shares with M_TSV_S,
+:func:`wctsv.frontier._certify_slopes`.  There is no search, seed, step
+size or finite difference.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ import numpy as np
 from .errors import (
     EmptyUncertaintySet, InfeasibleBudget, InvalidBudget, InvalidThreshold, NonConvergence
 )
-from .frontier import MarketModel, Portfolio, _Segment, _segment_candidates, _tsv_minimizer
-from .worst_case import (
-    Family,
-    MomentProfile,
-    _symmetric_slope,
-    wc_target_semivariance_constrained,
+from .frontier import (
+    KKT_TOL, SIGMA_FLOOR, MarketModel, Portfolio, _certify_slopes, _Segment, _segment_candidates,
+    _tsv_minimizer,
 )
+from .worst_case import Family, MomentProfile, wc_target_semivariance_constrained
 
 __all__ = [
     "check_regret_feasibility",
@@ -48,10 +47,7 @@ __all__ = [
     "eep_tsv_s_portfolio",
 ]
 
-SIGMA_FLOOR = 1e-12
 ACTIVE_TOL = 1e-12
-KKT_TOL = 1e-8
-VALUE_TIE = 1e-13
 
 
 def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
@@ -268,15 +264,9 @@ def _certify_symmetric(
     ``xi`` (to 1e-12 relative, as the chain's ends carry rounding) and the
     KKT conditions of ``min w^T cov w + kappa mu^T w`` must hold at
     ``kappa = -V'(xi)``.  Then no feasible direction moves ``sigma`` less
-    than the frontier does for the same change in ``xi``, so it remains to
-    check the objective's one-sided slopes along the frontier:
-    ``D- <= 0`` (unless ``xi = min mu``) and ``D+ >= 0`` (unless ``xi`` is
-    the top).  Scoring tells candidates apart only down to rounding in
-    value, so each slope is taken ``delta`` away on its side, where the
-    objective (curvature about ``a + 1``) moves by ``VALUE_TIE * f``.  The
-    slopes are compared in weight units, times the spread of the means, as
-    a pair direction ``e_i - e_j`` moves ``xi`` by at most that much; per
-    unit of ``xi`` they are flat only to rounding on steep frontiers.
+    than the frontier does for the same change in ``xi``, so it remains
+    for :func:`wctsv.frontier._certify_slopes` to check the objective's
+    one-sided slopes along the chain, from ``xi = min mu`` to its top.
     """
     if f == 0.0:
         return
@@ -291,23 +281,7 @@ def _certify_symmetric(
     residual = _kkt_residual(w, 2.0 * m.cov @ w - dv * mu)
     if residual > KKT_TOL:
         raise NonConvergence(f"frontier KKT residual {residual:.3e} above {KKT_TOL}")
-
-    def slope(x: float) -> float:
-        u = x - seg.hi
-        sigma = max(math.sqrt(max((seg.a * u + seg.b) * u + seg.c, 0.0)), SIGMA_FLOOR)
-        dsigma = (2.0 * seg.a * u + seg.b) / (2.0 * sigma)
-        return _symmetric_slope(MomentProfile(x, sigma), t, lam, dsigma)
-
-    delta = math.sqrt(VALUE_TIE * f / (seg.a + 1.0))
-    left, right = slope(xi - delta), slope(xi + delta)
-    slack = KKT_TOL * f
-    if (xi > chain[-1].lo + tol and left * spread > slack) or (
-        xi < chain[0].hi - tol and right * spread < -slack
-    ):
-        raise NonConvergence(
-            f"objective still falls along the frontier at xi={xi} "
-            f"(slopes {left:.3e}, {right:.3e})"
-        )
+    _certify_slopes(seg, xi, f, t, lam, chain[-1].lo, chain[0].hi, spread)
 
 
 def eep_tsv_s_portfolio(
@@ -317,10 +291,12 @@ def eep_tsv_s_portfolio(
 
     The candidates are those of :func:`wctsv.frontier._segment_candidates`
     on every segment of the long-only frontier (``frontier``, walked here
-    when not given) plus every vertex (where the exact-equality floor
-    branch can fire).  Each is scored by the closed form at its rebuilt
-    weights, the first smallest wins, and :func:`_certify_symmetric`
-    checks the winner's first-order optimality exactly.
+    when not given) plus the vertices at ``min mu`` (where the
+    exact-equality floor branch can fire; above the floor every other
+    vertex is dominated by a frontier point with no larger ``xi`` or
+    ``sigma``).  Each is scored by the closed form at its rebuilt weights,
+    the first smallest wins, and :func:`_certify_symmetric` checks the
+    winner's first-order optimality exactly.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
@@ -331,7 +307,7 @@ def eep_tsv_s_portfolio(
     for seg in chain:
         xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
         candidates.extend(np.maximum(seg.weights(d, xi), 0.0) for xi in xs)
-    candidates.extend(np.eye(d))
+    candidates.extend(np.eye(d)[mu == mu.min()])
 
     best = None
     for w in candidates:

@@ -274,7 +274,7 @@ def wc_target_semivariance_constrained(
     return WorstCaseValue(val, f"{case}; {sub}")
 
 
-def _symmetric_slope(p: MomentProfile, t: float, lam: float, dsigma: float) -> float:
+def _symmetric_slope(p: MomentProfile, t: float, lam: float | None, dsigma: float) -> float:
     """Slope of the budgeted symmetric value above the floor along a path
     with ``d mu = 1`` and ``d sigma = dsigma``: the derivative of the branch
     that :func:`wc_target_semivariance_constrained` selects at ``p``.
@@ -282,14 +282,15 @@ def _symmetric_slope(p: MomentProfile, t: float, lam: float, dsigma: float) -> f
     With ``s = mu - t`` the branches' slopes are ``sigma dsigma``
     (``t > mu``), ``2 sigma dsigma + 2s`` (``sigma <= s``),
     ``(s + sigma)(1 + dsigma)`` (the two-point pair) and
-    ``sigma dsigma + 2 lam + 3s`` (budget binds).
+    ``sigma dsigma + 2 lam + 3s`` (budget binds).  ``lam=None`` means no
+    budget, so the pair never breaks it.
     """
     s, sg = p.mu - t, p.sigma
     if s < 0.0:
         return sg * dsigma
     if sg <= s:
         return 2.0 * sg * dsigma + 2.0 * s
-    if sg < 2.0 * lam + s:
+    if lam is None or sg < 2.0 * lam + s:
         return (s + sg) * (1.0 + dsigma)
     return sg * dsigma + 2.0 * lam + 3.0 * s
 

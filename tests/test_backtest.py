@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wctsv.backtest
-from wctsv import NonConvergence, TooFewRows
+from wctsv import DegenerateMeans, NonConvergence, TooFewRows
 from wctsv.backtest import (
     MODEL_ORDER,
     BacktestConfig,
@@ -76,15 +76,33 @@ class TestRunBacktest:
         assert run.wealth[-1] == 1.0 + ret
 
     def test_zero_loss_panel_stays_at_one(self):
-        # constant prices give a degenerate cross-section: estimation fails
-        # on day one, every path keeps its starting wealth, nothing is silent
+        # constant prices give equal means: the short-selling rules fail on
+        # day one, the long-only rules hold and earn nothing, nothing is silent
         panel = loss_panel(np.zeros((8, 3)))
         res = run_backtest(panel, BacktestConfig(window=5, ridge=1e-10))
-        assert len(res.failures) == len(MODEL_ORDER)
+        assert {f[0] for f in res.failures} == {"MV", "TSV", "M_TSV_S"}
         for run in res.runs:
-            np.testing.assert_array_equal(run.wealth, [1.0])
-            assert run.failure is not None
-            assert run.failure[0] == panel.dates[5]
+            np.testing.assert_array_equal(run.wealth, np.ones(len(run.dates) + 1))
+            if run.failure is not None:
+                assert run.failure[0] == panel.dates[5]
+                assert not run.dates
+            else:
+                assert run.dates == res.oos_dates
+
+    def test_equal_means_fail_only_the_short_selling_rules(self):
+        dev = np.array([0.01, -0.01, 0.02, -0.02, 0.015, -0.015])
+        panel = loss_panel(np.vstack([np.column_stack([dev, dev[::-1]]), [[0.01, -0.03]]]))
+        model = estimate_moments(panel, 6, 5, ridge=1e-8)
+        with pytest.raises(DegenerateMeans) as exc:
+            frontier_params(model)
+        res = run_backtest(panel, BacktestConfig(window=6, ridge=1e-8))
+        assert res.failures == tuple(
+            (name, panel.dates[6], str(exc.value)) for name in ("MV", "TSV", "M_TSV_S")
+        )
+        run = res.run_for("EEP_TSV_S")
+        assert run.dates == res.oos_dates
+        np.testing.assert_allclose(run.weights, [[0.5, 0.5]], rtol=0.0, atol=1e-12)
+        assert res.run_for("EEP_TSV").dates == res.oos_dates
 
     def test_solver_failure_is_isolated_and_dated(self):
         panel = random_panel(1, rows=14, d=3)

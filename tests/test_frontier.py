@@ -4,16 +4,19 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import wctsv.frontier
 from wctsv import (
     DegenerateMeans,
     Family,
     InvalidThreshold,
     MomentProfile,
+    NonConvergence,
     NotPositiveDefinite,
     wc_target_semivariance,
 )
 from wctsv.frontier import (
     MarketModel,
+    _segment_candidates,
     classical_mv,
     frontier_params,
     m_tsv_s_portfolio,
@@ -76,7 +79,7 @@ class TestFrontierParams:
         with pytest.raises(ValueError):
             MarketModel(("A",), np.array([0.0, 1.0]), np.eye(2))
 
-    def test_model_is_immutable_so_cached_params_stay_valid(self):
+    def test_model_is_immutable_so_params_stay_valid(self):
         mu, cov = np.array([0.0, 1.0]), np.eye(2)
         m = MarketModel(("A", "B"), mu, cov)
         fp = frontier_params(m)
@@ -85,7 +88,6 @@ class TestFrontierParams:
             m.mu_vec[1] = 3.0
         with pytest.raises(ValueError):
             m.cov[1, 1] = 4.0
-        assert frontier_params(m) is fp
         assert fp.v0 == frontier_params(MarketModel(("A", "B"), [0.0, 1.0], np.eye(2))).v0
 
 
@@ -207,7 +209,7 @@ class TestMTsvS:
         assert pf.objective == pytest.approx(0.5 * ref.objective, rel=1e-12)
 
     def test_case_ii_prefers_below_threshold_vertex(self):
-        # gmv = 0.5 > t, so xi1 = t; pushing nu far out keeps h1 the winner
+        # gmv = 0.5 > t, so the candidates run from xi = t up to gmv
         m = two_asset()
         fp = frontier_params(m)
         pf = m_tsv_s_portfolio(fp, m, nu=0.8, t=0.45)
@@ -253,6 +255,47 @@ class TestMTsvS:
             # no feasible frontier point does better
             grid = np.linspace(min(t, fp.v1 / fp.v0) - 8, nu, 4_000)
             assert pf.objective <= min(h_frontier(fp, t, x) for x in grid) + 1e-8
+
+
+def test_m_tsv_s_is_scale_invariant():
+    # losses scaled by c scale the objective by c^2 and leave the regime; an
+    # absolute tie between regimes (ii) and (iii) broke this at c = 1e-5
+    base = random_model(3)
+    runs = []
+    for c in (1.0, 1e-3, 1e-5):
+        m = MarketModel(base.assets, c * base.mu_vec, c * c * base.cov)
+        fp = frontier_params(m)
+        g = fp.segment.hi
+        solves = [m_tsv_s_portfolio(fp, m, g, g + q * c) for q in np.linspace(-3.0, 0.0, 301)]
+        runs.append([(pf.regime, pf.objective / (c * c)) for pf in solves])
+    assert {tag for tag, _ in runs[0]} == {"i", "ii", "iii"}
+    for run in runs[1:]:
+        assert [tag for tag, _ in run] == [tag for tag, _ in runs[0]]
+        for (_, got), (_, want) in zip(run, runs[0]):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_m_tsv_s_certificate_rejects_ends_only_candidates(monkeypatch):
+    # with only the ends of [min(t, hi), hi] as candidates, every solve whose
+    # minimizer lies strictly inside returns a winner the slope check rejects
+    interior = []
+    for seed in range(12):
+        m = random_model(seed, d=2 + seed % 5)
+        fp = frontier_params(m)
+        g = fp.segment.hi
+        for t in (g - 1.0, g - 0.3, g - 0.05):
+            for nu in (g - 0.02, g):
+                xi = m_tsv_s_portfolio(fp, m, nu, t).expected_loss
+                if min(abs(xi - t), abs(xi - min(nu, g))) > 1e-6:
+                    interior.append((fp, m, nu, t))
+    assert len(interior) >= 15
+
+    monkeypatch.setattr(
+        wctsv.frontier, "_segment_candidates", lambda *args: _segment_candidates(*args)[:2]
+    )
+    for fp, m, nu, t in interior:
+        with pytest.raises(NonConvergence):
+            m_tsv_s_portfolio(fp, m, nu, t)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wctsv import (
-    DegenerateMeans,
     NonPositivePrice,
     NotPositiveDefinite,
     ParseError,
@@ -194,12 +193,6 @@ class TestEstimateMoments:
         lp = loss_panel(np.column_stack([base, base + 0.01]))
         model = estimate_moments(lp, window=10, end_index=15)
         assert model.cov[0, 0] == pytest.approx(model.cov[0, 1], rel=1e-6)
-
-    def test_degenerate_means(self):
-        dev = np.array([0.01, -0.01, 0.02, -0.02, 0.015, -0.015])
-        lp = loss_panel(np.column_stack([dev, dev[::-1]]))
-        with pytest.raises(DegenerateMeans):
-            estimate_moments(lp, window=6, end_index=5, ridge=1e-8)
 
     def test_window_and_index_validation(self):
         lp = loss_panel(np.random.default_rng(0).normal(size=(10, 2)))

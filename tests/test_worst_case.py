@@ -349,18 +349,25 @@ def test_complement_identity(ms):
     sigma=st.floats(1e-2, 5.0),
     extra=st.floats(1e-3, 4.0),
     d_sigma=st.floats(-3.0, 3.0),
+    budgeted=st.booleans(),
 )
-@example(mu=0.0, t=1.0, sigma=1.0, extra=0.5, d_sigma=0.3)  # t > mu
-@example(mu=1.0, t=0.0, sigma=0.5, extra=1.0, d_sigma=0.3)  # sigma <= s
-@example(mu=1.0, t=0.0, sigma=1.5, extra=1.0, d_sigma=0.3)  # s < sigma < 2 lam + s
-@example(mu=0.5, t=0.0, sigma=3.0, extra=0.2, d_sigma=0.3)  # budget binds
+@example(mu=0.0, t=1.0, sigma=1.0, extra=0.5, d_sigma=0.3, budgeted=True)  # t > mu
+@example(mu=1.0, t=0.0, sigma=0.5, extra=1.0, d_sigma=0.3, budgeted=True)  # sigma <= s
+# s < sigma < 2 lam + s
+@example(mu=1.0, t=0.0, sigma=1.5, extra=1.0, d_sigma=0.3, budgeted=True)
+@example(mu=0.5, t=0.0, sigma=3.0, extra=0.2, d_sigma=0.3, budgeted=True)  # budget binds
+# no budget: the pair's branch where a budget would bind
+@example(mu=0.5, t=0.0, sigma=3.0, extra=0.2, d_sigma=0.3, budgeted=False)
 @settings(max_examples=300, deadline=None)
-def test_symmetric_slope_is_the_derivative_inside_each_regime(mu, t, sigma, extra, d_sigma):
+def test_symmetric_slope_is_the_derivative_inside_each_regime(
+    mu, t, sigma, extra, d_sigma, budgeted
+):
     # along mu + k, sigma + d_sigma k each branch is quadratic in k, so a
     # central difference inside one regime is exact up to rounding
     k = 1e-3
     assume(sigma - abs(d_sigma) * k > 0.0)
-    lam = max(t - mu + k, 0.0) + extra  # above the floor at every point used
+    # above the floor at every point used; None is no budget
+    lam = max(t - mu + k, 0.0) + extra if budgeted else None
 
     def at(step):
         p = profile(mu + step, sigma + d_sigma * step)
