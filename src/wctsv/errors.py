@@ -49,10 +49,11 @@ class InfeasibleConstraints(WctsvError):
 
 
 class BudgetExhausted(WctsvError):
-    """The oracle spent its evaluation budget without a feasible candidate.
+    """A search spent its evaluation budget without a feasible candidate.
 
-    Carries ``best_value`` (None when nothing feasible was ever seen) so
-    callers can inspect how far the search got.
+    The package raises it nowhere since the exact oracle replaced the
+    search; it stays for callers, such as ``perfbench/``, that catch it.
+    Carries ``best_value`` (None when nothing feasible was ever seen).
     """
 
     def __init__(self, message: str, best_value: float | None = None):

@@ -1,12 +1,33 @@
-"""Brute-force verification of the closed forms, plus explicit witnesses.
+"""Exact verification of the closed forms by a moment LP, plus explicit witnesses.
 
-Every worst-case problem the library solves in closed form reduces to a
-finite family of k-point distributions (two-point for the arbitrary set,
-five symmetric atoms unconstrained / six constrained for the symmetric set,
-three atoms otherwise).  :func:`brute_force_worst_case` maximizes the target
-semi-variance over such a family directly, by seeded multi-start random
-search with cyclic coordinate refinement, never consulting the closed forms
-— so agreement between the two is evidence, not circularity.
+Every bound the library gives in closed form is the supremum of
+E[(X-t)_+^2] over all distributions with mean mu and variance sigma^2,
+optionally symmetric about mu or supported on [0, inf), and optionally held
+to the budget E[(t-X)_+] <= lam.  That is a semi-infinite linear program in
+the distribution's masses, with one row each for mass, mean (implied under
+symmetry), variance and budget, and one column per atom (per pair
+mu +/- y under symmetry).  :func:`certify` solves it by the exchange method
+and never consults the closed forms, so agreement is evidence, not
+circularity:
+
+* a dense simplex method solves the LP on a coarse grid of columns: at mu,
+  mu +/- sigma, the threshold, any support bound and infinity;
+* the reduced cost of a column is piecewise quadratic in its location, with
+  a kink only at the threshold, so its maximum over the continuum lies at a
+  piece end, at a vertex or at a column at infinity;
+* the best-priced column joins the grid and the LP is solved again.
+
+A column at infinity (mass 0, variance 1, budget 0) stands for an atom or
+pair running off with vanishing mass; its cost is the integrand's leading
+coefficient.  The limit regimes, whose supremum no distribution attains,
+need it.
+
+Each answer is bracketed from both sides.  The lower value is
+E[(X-t)_+^2] of a finite member: the LP's optimal distribution, or in a
+limit regime :func:`witness_family`'s vanishing-tail member.  The upper
+value is the dual value of the multipliers plus their largest positive
+reduced cost, which by weak duality bounds every member.  Exactly on the
+budget floor lam = (t-mu)_+ every member lies at or below t, so both are 0.
 
 :func:`witness_family` returns the explicit (near-)worst members used to
 show attainment: the symmetric two-point pair, a three-point family with
@@ -17,15 +38,18 @@ the budget-binding four-atom symmetric configuration.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
-    BudgetExhausted,
     InfeasibleConstraints,
     InfeasibleSupport,
+    InvalidBudget,
     InvalidProfile,
+    InvalidThreshold,
     NoKnownWitness,
+    NonConvergence,
 )
 from .worst_case import Family, MomentProfile
 
@@ -36,23 +60,35 @@ __all__ = [
     "partial_moments",
     "two_point_match",
     "witness_family",
+    "certify",
     "brute_force_worst_case",
 ]
 
 ATOM_MERGE_TOL = 1e-12
 MASS_TOL = 1e-12
-# Infeasibility slack when screening candidates against the budget; small
-# enough that accepted witnesses still satisfy the reported tolerance.
-FEAS_TOL = 1e-12
-# Candidates whose assembled moments drift beyond this relative tolerance are
-# discarded.  The builders clamp tiny negative masses to zero, and for a far
-# atom at x the discarded variance is |mass| * x**2, which a mass-scaled guard
-# alone cannot bound.
-MOMENT_TOL = 1e-9
-MIN_SEARCH_BUDGET = 10_000
-STARTS_PER_100K = 200
-CD_SWEEPS = 40
-CD_SHRINK = 0.5
+# Vanishing tails tried for a limit regime's lower member: the first falls
+# about 1e-6 of the scale short of the supremum, and the finer ones spend
+# less of a tight budget and keep a non-negative member's lower atom closer
+# to its mean.
+WITNESS_EPS_LADDER = (1e-12, 1e-18, 1e-24)
+# Starting columns besides the piece ends, in units of sigma around mu: mu
+# and the atoms mu +/- sigma of the two-point members.
+GRID = (-1.0, 0.0, 1.0)
+# Finite columns are priced out to HORIZON * (1 + farthest piece end) sigma;
+# the column at infinity stands for the columns beyond.
+HORIZON = 1e3
+# LP tolerances.  A column at z enters when its reduced cost exceeds
+# PRICE_TOL (1 + z^2) (sigma^2 + (mu - t)^2), well above its rounding.  The
+# dual check passes when no reduced cost within the split (1 + the farthest
+# piece end, in sigma) exceeds CERT_TOL (1 + split^2) sigma^2.  A column at
+# infinity holding less than LIMIT_TOL of the variance is rounding, not a
+# limit regime.
+PRICE_TOL = 1e-12
+PIVOT_TOL = 1e-12
+CERT_TOL = 1e-9
+LIMIT_TOL = 1e-12
+MAX_ROUNDS = 100
+MAX_PIVOTS = 100
 
 
 @dataclass(frozen=True)
@@ -119,14 +155,6 @@ class PartialMoments:
     upm2: float
     lpm1: float
     lpm2: float
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    best_value: float
-    witness: DiscreteDistribution
-    evaluations: int
-    seed: int
 
 
 def partial_moments(d: DiscreteDistribution, t: float) -> PartialMoments:
@@ -212,7 +240,7 @@ def witness_family(
         if lam is not None and lam == floor and lam > 0.0:
             # every member lives below t; feasible only for sigma <= t - mu
             if sg <= t - mu:
-                return two_point_match(mu, sg, 2.0 * mu - t, t)
+                return DiscreteDistribution.from_pairs([(mu - sg, 0.5), (mu + sg, 0.5)])
             raise NoKnownWitness("no symmetric member exists on this budget boundary")
         if t <= mu:
             s = mu - t
@@ -258,315 +286,274 @@ def witness_family(
     return d
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-min(x, 700.0)))
-    z = math.exp(max(x, -700.0))
-    return z / (1.0 + z)
+@dataclass(frozen=True)
+class OracleReport:
+    """A worst-case value bracketed from both sides.
 
-
-def _exp_arm(a: float) -> float:
-    # atom offsets live on an exponential scale; cap keeps arithmetic finite
-    return math.exp(min(a, 60.0))
-
-
-def _three_point_masses(x1: float, x2: float, x3: float, m1: float, m2: float):
-    """Masses putting the first two raw moments at (m1, m2); None if signed."""
-    p1 = (m2 - m1 * (x2 + x3) + x2 * x3) / ((x1 - x2) * (x1 - x3))
-    p2 = (m2 - m1 * (x1 + x3) + x1 * x3) / ((x2 - x1) * (x2 - x3))
-    p3 = (m2 - m1 * (x1 + x2) + x1 * x2) / ((x3 - x1) * (x3 - x2))
-    if p1 < -1e-15 or p2 < -1e-15 or p3 < -1e-15:
-        return None
-    return max(p1, 0.0), max(p2, 0.0), max(p3, 0.0)
-
-
-def _make_searcher(p: MomentProfile, t: float, lam: float | None, fam: Family, k: int):
-    """Return (dim, build, random_theta, anchors) for the k-point family.
-
-    ``build`` maps an unconstrained parameter vector to a moment-exact atom
-    list, or None when the induced mass solve leaves the simplex.  The two
-    matched moments are always imposed exactly by construction.
+    ``best_value`` is E[(X-t)_+^2] of ``witness``, a member of the set (both
+    None when no finite member was built).  The multipliers (a0, a1, a2, b)
+    satisfy a0 + a1 (x-mu) + a2 (x-mu)^2 + b (t-x)_+ >= (x-t)_+^2, up to
+    their largest reduced cost, for every column of the family: every atom,
+    or under symmetry every pair mu +/- y averaged over its two atoms.  a1 is
+    0 under symmetry and b is 0 without a budget.  ``upper_value`` is
+    a0 + a2 sigma^2 + b lam plus that reduced cost, or None when the dual
+    check fails.  ``evaluations`` counts the LP's columns.
     """
+
+    best_value: float | None
+    upper_value: float | None
+    multipliers: tuple[float, float, float, float]
+    witness: DiscreteDistribution | None
+    evaluations: int
+
+
+def _pieces(fam: Family, s: float, lower: float):
+    """The support in units of sigma around mu, cut where the threshold
+    makes a kink, as (lo, hi, c2, c1, c0, g1, g0): on [lo, hi] a column at z
+    costs c2 z^2 + c1 z + c0 and spends g1 z + g0 of the budget.  Here
+    s = (mu - t) / sigma, and a symmetric column is the pair at +/- z."""
+    if fam is Family.SYMMETRIC:
+        kink = abs(s)
+        upper = (kink, math.inf, 0.5, s, 0.5 * s * s, 0.5, -0.5 * s)
+        if kink == 0.0:
+            return [upper]
+        if s > 0.0:
+            return [(0.0, kink, 1.0, 0.0, s * s, 0.0, 0.0), upper]
+        return [(0.0, kink, 0.0, 0.0, 0.0, 0.0, -s), upper]
+    upper = (max(-s, lower), math.inf, 1.0, 2.0 * s, s * s, 0.0, 0.0)
+    if -s <= lower:
+        return [upper]
+    return [(lower, -s, 0.0, 0.0, 0.0, -1.0, -s), upper]
+
+
+def _at_infinity(pieces):
+    """One column at infinity per unbounded side, as (side, its piece); the
+    column's cost is the piece's leading coefficient c2."""
+    sides = [(1.0, pieces[-1])]
+    if pieces[0][0] == -math.inf:
+        sides.append((-1.0, pieces[0]))
+    return sides
+
+
+def _reduced(piece, mult, weight: float):
+    """Coefficients of the reduced cost c - a0 - a1 z - a2 z^2 - b g on a
+    piece; weight 0 prices for feasibility (phase one), 1 for the value."""
+    _, _, c2, c1, c0, g1, g0 = piece
+    a0, a1, a2, b = mult
+    return weight * c2 - a2, weight * c1 - a1 - b * g1, weight * c0 - a0 - b * g0
+
+
+def _maximizers(lo: float, hi: float, coef, reach: float) -> list[float]:
+    """Where r2 z^2 + r1 z + r0 can peak on [lo, hi] cut to |z| <= reach:
+    the ends, and the vertex when it is a maximum inside."""
+    r2, r1, _ = coef
+    lo, hi = max(lo, -reach), min(hi, reach)
+    if r2 < 0.0 and lo < -r1 / (2.0 * r2) < hi:
+        return [lo, hi, -r1 / (2.0 * r2)]
+    return [lo, hi]
+
+
+def _peak(lo: float, hi: float, coef, reach: float) -> float:
+    r2, r1, r0 = coef
+    return max((r2 * z + r1) * z + r0 for z in _maximizers(lo, hi, coef, reach))
+
+
+def _price(pieces, mult, weight: float, reach: float):
+    """The best-priced column over the continuum: (reduced cost per unit of
+    1 + z^2, z, piece), with z = +/-inf for a column at infinity."""
+    best = (-math.inf, 0.0, pieces[0])
+    for piece in pieces:
+        r2, r1, r0 = coef = _reduced(piece, mult, weight)
+        for z in _maximizers(piece[0], piece[1], coef, reach):
+            r = ((r2 * z + r1) * z + r0) / (1.0 + z * z)
+            if r > best[0]:
+                best = (r, z, piece)
+    for side, piece in _at_infinity(pieces):
+        r = weight * piece[2] - mult[2]
+        if r > best[0]:
+            best = (r, side * math.inf, piece)
+    return best
+
+
+def _pivot(a, cost, rhs, norm, basis: list[int], blocked: list[int], tol: float):
+    """Simplex pivots from ``basis`` (updated in place) to an optimal basis
+    of the columns ``a``, maximizing; returns its (x, duals).  Columns in
+    ``blocked`` never enter, and one left in the basis stays at 0."""
+    stalled = 0
+    for _ in range(MAX_PIVOTS):
+        b = a[:, basis]
+        x = np.linalg.solve(b, rhs)
+        y = np.linalg.solve(b.T, cost[basis])
+        d = (cost - y @ a) / norm
+        d[basis + blocked] = -np.inf
+        bland = stalled > len(basis)  # Bland's rule cannot cycle
+        enter = int(np.flatnonzero(d > tol)[0]) if bland and d.max() > tol else int(np.argmax(d))
+        if d[enter] <= tol:
+            return x, y
+        w = np.linalg.solve(b, a[:, enter])
+        ratios = []
+        for i, j in enumerate(basis):
+            if j in blocked:
+                if abs(w[i]) > PIVOT_TOL:
+                    ratios.append((0.0, j if bland else i, i))
+            elif w[i] > PIVOT_TOL:
+                ratios.append((max(x[i], 0.0) / w[i], j if bland else i, i))
+        if not ratios:
+            raise NonConvergence("the moment LP is unbounded")
+        step, _, leave = min(ratios)
+        stalled = stalled + 1 if step == 0.0 else 0
+        basis[leave] = enter
+    raise NonConvergence(f"the simplex method did not settle in {MAX_PIVOTS} pivots")
+
+
+def _solve(cols, cost, norm, rhs, n_art: int, tol: float):
+    """Two-phase dense simplex from the unit basis, whose first ``n_art``
+    columns are artificial.  Returns (infeasible, basis, x, duals), with the
+    phase-one duals when the artificials cannot all leave."""
+    a, rhs, norm = np.array(cols).T, np.array(rhs), np.array(norm)
+    basis = list(range(len(rhs)))
+    phase_one = np.zeros(len(cols))
+    phase_one[:n_art] = -1.0
+    x, y = _pivot(a, phase_one, rhs, norm, basis, [], tol)
+    if sum(x[i] for i, j in enumerate(basis) if j < n_art) > tol:
+        return True, basis, x, y
+    x, y = _pivot(a, np.array(cost), rhs, norm, basis, list(range(n_art)), tol)
+    return False, basis, x, y
+
+
+def _limit_witness(p: MomentProfile, t: float, lam: float | None, fam: Family):
+    """witness_family's member at the first tail in the ladder that stays in
+    the set, or None."""
+    for eps in WITNESS_EPS_LADDER:
+        try:
+            return witness_family(p, t, lam, fam, eps)
+        except NoKnownWitness:
+            continue
+    return None
+
+
+def certify(p: MomentProfile, t: float, lam: float | None, fam: Family) -> OracleReport:
+    """Bracket sup E[(X-t)_+^2] over the set by the exchange method.
+
+    The LP is solved in units of sigma around mu and re-solved from the unit
+    basis after each exchange.  Raises :class:`InfeasibleConstraints` when
+    the set has no member.
+    """
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
+    if lam is not None and not (math.isfinite(lam) and lam > 0.0):
+        raise InvalidBudget(f"finite budget must be > 0, got {lam}")
+    if fam is Family.NON_NEGATIVE and p.mu <= 0.0:
+        raise InfeasibleConstraints("non-negative family needs mu > 0")
     mu, sg = p.mu, p.sigma
-    m2 = mu * mu + sg * sg
+    floor = max(t - mu, 0.0)
+    if lam is not None and lam <= floor:
+        if lam < floor:
+            raise InfeasibleConstraints(f"budget {lam} is below E[(t-X)_+] >= (t-mu)_+ = {floor}")
+        # Jensen holds with equality only when X <= t almost surely, so every
+        # member has no upside: 0 and zero multipliers are exact, and
+        # witness_family builds a member exactly when one exists.
+        try:
+            member = witness_family(p, t, lam, fam, WITNESS_EPS_LADDER[0])
+        except NoKnownWitness as exc:
+            raise InfeasibleConstraints(str(exc)) from exc
+        return OracleReport(0.0, 0.0, (0.0, 0.0, 0.0, 0.0), member, 0)
 
-    # with a binding lower-tail budget the maximizer hugs the threshold, so
-    # seed starts whose inner pair sits exactly at the kink; the arm scales
-    # and the mass split stay free for the descent to refine
-    pinned = None
-    if lam is not None and mu - t > 0.0:
-        pinned = math.log(max((mu - t) / sg, 1e-12))
+    s = (mu - t) / sg
+    lam_n = 0.0 if lam is None else lam / sg
+    lower = 0.0 if fam is Family.NON_NEGATIVE else -math.inf
+    pieces = _pieces(fam, s, (lower - mu) / sg)
+    ends = [e for piece in pieces for e in piece[:2] if math.isfinite(e)]
+    split = 1.0 + max(map(abs, ends))
+    reach = HORIZON * split
+    tol = PRICE_TOL * (1.0 + s * s)
+    keep = (True, fam is not Family.SYMMETRIC, True, lam is not None)
 
-    if fam is Family.SYMMETRIC and k == 5:
+    def rows(full):
+        return [v for v, k in zip(full, keep) if k]
 
-        def build(th):
-            x1 = sg * _exp_arm(th[0])
-            x2 = x1 + sg * _exp_arm(th[1])
-            if not 0.0 < x1 < x2:
-                return None
-            p1 = 0.5 * _sigmoid(th[2])
-            p2 = (0.5 * sg * sg - p1 * x1 * x1) / (x2 * x2)
-            if p2 < -1e-15:
-                return None
-            p2 = max(p2, 0.0)
-            p0 = 1.0 - 2.0 * (p1 + p2)
-            if p0 < -1e-15:
-                return None
-            return [
-                (mu - x2, p2),
-                (mu - x1, p1),
-                (mu, max(p0, 0.0)),
-                (mu + x1, p1),
-                (mu + x2, p2),
-            ]
+    def expand(y):
+        it = iter(y)
+        return tuple(float(next(it)) if k else 0.0 for k in keep)
 
-        def random_theta(rng):
-            return [rng.uniform(-4.0, 3.0), rng.uniform(-4.0, 6.5), rng.uniform(-6.0, 6.0)]
+    rhs = rows([1.0, 0.0, 1.0, lam_n])
+    n_art = len(rhs) - (lam is not None)  # the budget row starts on its slack
+    cols = [[float(i == j) for i in range(len(rhs))] for j in range(len(rhs))]
+    cost, norm, at = [0.0] * len(rhs), [1.0] * len(rhs), [None] * len(rhs)
 
-        anchors = [
-            [0.0, -20.0, 40.0],  # exact two-point at mu +/- sigma
-            [0.0, 0.0, 0.0],
-            [-2.0, 2.0, -2.0],
-            [1.0, 2.0, -4.0],
-            [-1.0, 4.0, -8.0],
-            [0.0, 5.0, -10.0],
-            [0.0, 6.5, -12.0],
-            [-0.7, 0.7, 2.0],
-        ]
-        if pinned is not None:
-            anchors = [
-                [pinned, 2.0, 6.0],
-                [pinned, 3.5, 6.0],
-                [pinned, 5.0, 6.0],
-                [pinned, 2.0, 2.0],
-                [pinned, 4.0, 4.0],
-            ] + anchors
-        return 3, build, random_theta, anchors
-
-    if fam is Family.SYMMETRIC and k == 6:
-
-        def build(th):
-            x1 = sg * _exp_arm(th[0])
-            x2 = x1 + sg * _exp_arm(th[1])
-            x3 = x2 + sg * _exp_arm(th[2])
-            if not 0.0 < x1 < x2 < x3:
-                return None
-            p1 = 0.5 * _sigmoid(th[3])
-            mass = 0.5 - p1
-            var = 0.5 * sg * sg - p1 * x1 * x1
-            den = x3 * x3 - x2 * x2
-            p3 = (var - mass * x2 * x2) / den
-            p2 = mass - p3
-            if p3 < -1e-15 or p2 < -1e-15:
-                return None
-            p2, p3 = max(p2, 0.0), max(p3, 0.0)
-            return [
-                (mu - x3, p3),
-                (mu - x2, p2),
-                (mu - x1, p1),
-                (mu + x1, p1),
-                (mu + x2, p2),
-                (mu + x3, p3),
-            ]
-
-        def random_theta(rng):
-            return [
-                rng.uniform(-4.0, 2.5),
-                rng.uniform(-4.0, 3.0),
-                rng.uniform(-4.0, 6.5),
-                rng.uniform(-6.0, 6.0),
-            ]
-
-        anchors = [
-            [0.0, -20.0, -20.0, 40.0],  # collapses to the two-point pair
-            [0.0, 0.0, 0.0, 0.0],
-            [-2.0, 1.0, 2.0, -2.0],
-            [-1.0, 3.0, 4.0, -6.0],
-            [0.0, 2.0, 5.0, -8.0],
-            [1.0, 1.0, 6.5, -10.0],
-            [-3.0, 0.0, 3.0, 1.0],
-            [-0.7, -0.7, 0.7, 2.0],
-        ]
-        if pinned is not None:
-            anchors = [
-                [pinned, 0.0, 20.0, 2.0],
-                [pinned, 1.0, 20.0, 4.0],
-                [pinned, 2.0, 20.0, 6.0],
-                [pinned, 3.0, 20.0, 6.0],
-                [pinned, 4.5, 20.0, 8.0],
-            ] + anchors
-        return 4, build, random_theta, anchors
-
-    if fam is Family.SYMMETRIC and k == 2:
-
-        def build(_th):
-            return [(mu - sg, 0.5), (mu + sg, 0.5)]
-
-        return 1, build, (lambda rng: [0.0]), [[0.0]]
-
-    if k == 2:  # arbitrary / non-negative two-point sweep
-
-        def build(th):
-            if fam is Family.NON_NEGATIVE:
-                d1 = mu * _sigmoid(th[0])
-            else:
-                d1 = sg * _exp_arm(th[0])
-            if d1 <= 0.0:
-                return None
-            d2 = sg * sg / d1
-            hi = d1 * d1 / (d1 * d1 + sg * sg)
-            return [(mu - d1, 1.0 - hi), (mu + d2, hi)]
-
-        def random_theta(rng):
-            return [rng.uniform(-6.0, 6.0)]
-
-        return 1, build, random_theta, [[0.0], [-3.0], [3.0]]
-
-    if k == 3:
-        nonneg = fam is Family.NON_NEGATIVE
-
-        def build(th):
-            if nonneg:
-                x1 = sg * _exp_arm(th[0])
-                x2 = x1 + sg * _exp_arm(th[1])
-            else:
-                x2 = mu + sg * th[0]
-                x1 = x2 - sg * _exp_arm(th[1])
-            x3 = x2 + sg * _exp_arm(th[2])
-            if not x1 < x2 < x3:
-                return None
-            sol = _three_point_masses(x1, x2, x3, mu, m2)
-            if sol is None:
-                return None
-            p1, p2, p3 = sol
-            return [(x1, p1), (x2, p2), (x3, p3)]
-
-        def random_theta(rng):
-            first = rng.uniform(-12.0, 3.0) if nonneg else rng.uniform(-4.0, 4.0)
-            return [first, rng.uniform(-6.0, 4.0), rng.uniform(-6.0, 6.5)]
-
-        if nonneg:
-            # reach the mean's own scale even when mu >> sigma
-            mid = math.log(max(mu / sg, 1e-9))
-            anchors = [
-                [mid, 0.0, 0.0],
-                [-12.0, mid, 2.0],
-                [-12.0, mid, 6.5],
-                [mid - 2.0, 1.0, 4.0],
-                [-6.0, mid + 0.5, 1.0],
-                [mid, -6.0, 5.0],
-            ]
+    def add(z, piece):
+        _, _, c2, c1, c0, g1, g0 = piece
+        if math.isinf(z):
+            cols.append(rows([0.0, 0.0, 1.0, 0.0]))
+            cost.append(c2)
+            norm.append(1.0)
         else:
-            anchors = [
-                [0.0, 0.0, 0.0],
-                [0.0, -6.0, 5.0],
-                [0.0, -6.0, 6.5],
-                [0.0, 1.0, 5.0],
-                [-2.0, 0.0, 4.0],
-                [2.0, 4.0, 0.0],
-                [0.0, 5.0, 1.0],
-            ]
-        return 3, build, random_theta, anchors
+            cols.append(rows([1.0, z, z * z, g1 * z + g0]))
+            cost.append((c2 * z + c1) * z + c0)
+            norm.append(1.0 + z * z)
+        at.append(z)
 
-    raise ValueError(f"unsupported family/k combination: {fam.value}, k={k}")
+    for z in sorted({*ends, *(z for z in GRID if pieces[0][0] <= z)}):
+        add(z, next(pc for pc in pieces if pc[0] <= z <= pc[1]))
+    for side, piece in _at_infinity(pieces):
+        add(side * math.inf, piece)
+    for _ in range(MAX_ROUNDS):
+        infeasible, basis, x, y = _solve(cols, cost, norm, rhs, n_art, tol)
+        r, z, piece = _price(pieces, expand(y), 0.0 if infeasible else 1.0, reach)
+        if r <= tol or z in at:  # a column already in the LP prices within rounding
+            break
+        add(z, piece)
+    if infeasible:
+        raise InfeasibleConstraints(f"no {fam.value} distribution meets the moments")
+
+    a0, a1, a2, b = expand(y)
+    b = max(b, 0.0)  # b >= 0 up to rounding at an optimum
+    mult = (a0, a1, a2, b)
+    # Weak duality: a member's value is a0 + a2 + b E[g] + E[r] <= dual + E[r],
+    # and E[r] is at most the largest r within |z| <= split plus, beyond it,
+    # the largest r(z) / z^2 = r2 + r1 / z + r0 / z^2 (a quadratic in 1/|z|)
+    # times E[z^2] = 1.
+    inner = max(_peak(pc[0], pc[1], _reduced(pc, mult, 1.0), split) for pc in pieces)
+    tail = -math.inf
+    for side, piece in _at_infinity(pieces):
+        r2, r1, r0 = _reduced(piece, mult, 1.0)
+        tail = max(tail, r2 + _peak(0.0, 1.0 / split, (r0, side * r1, 0.0), 1.0))
+    upper = None
+    if max(inner, tail) <= CERT_TOL * (1.0 + split * split):
+        upper = sg * sg * (a0 + a2 + b * lam_n + max(inner, 0.0) + max(tail, 0.0))
+
+    basic = [(float(v), at[j]) for v, j in zip(x, basis) if at[j] is not None and v > 0.0]
+    if sum(x for x, z in basic if math.isinf(z)) > LIMIT_TOL:
+        witness = _limit_witness(p, t, lam, fam)
+    else:
+        finite = [(x, z) for x, z in basic if math.isfinite(z)]
+        total = math.fsum(x for x, _ in finite)  # 1 up to the basis solve's rounding
+        pairs = []
+        for x, z in finite:
+            if fam is Family.SYMMETRIC:
+                pairs += [(mu - sg * z, 0.5 * x / total), (mu + sg * z, 0.5 * x / total)]
+            else:  # clipped: at the support bound mu + sigma z rounds below 0
+                pairs.append((max(mu + sg * z, lower), x / total))
+        witness = DiscreteDistribution.from_pairs(pairs)
+    return OracleReport(
+        best_value=None if witness is None else partial_moments(witness, t).upm2,
+        upper_value=upper,
+        multipliers=(sg * sg * a0, sg * a1, a2, sg * b),
+        witness=witness,
+        evaluations=len(cols) - len(rhs),
+    )
 
 
 def brute_force_worst_case(
-    p: MomentProfile,
-    t: float,
-    lam: float | None,
-    fam: Family,
-    k: int,
-    budget: int,
-    seed: int,
+    p: MomentProfile, t: float, lam: float | None, fam: Family, k: int
 ) -> OracleReport:
-    """Maximize E[(X-t)_+^2] over the k-point family by seeded search.
+    """:func:`certify`, for callers that name the family's atom count.
 
-    Runs ``STARTS_PER_100K``-scaled multi-starts (anchored structural shapes
-    first, then random draws), each refined by cyclic coordinate descent
-    with a step halved every sweep.  Every candidate construction — feasible
-    or rejected — consumes one unit of ``budget``.  Deterministic in
-    (inputs, seed, budget): per-start generators are seeded from
-    (seed, start index) only.
+    ``k`` is the number of atoms the closed forms reduce to, 5 (6 with a
+    budget) under symmetry and 3 otherwise; it is checked against ``fam``.
+    The LP ranges over every distribution, and its basic optima need no more
+    atoms than that.
     """
-    if k not in (2, 3, 5, 6):
-        raise ValueError(f"k must be one of 2, 3, 5, 6, got {k}")
-    if fam is Family.SYMMETRIC and k == 3 or fam is not Family.SYMMETRIC and k > 3:
+    if k not in ((5, 6) if fam is Family.SYMMETRIC else (3,)):
         raise ValueError(f"k={k} is inconsistent with the {fam.value} family")
-    if budget < MIN_SEARCH_BUDGET:
-        raise ValueError(f"budget must be at least {MIN_SEARCH_BUDGET}, got {budget}")
-    if fam is Family.NON_NEGATIVE and p.mu <= 0.0:
-        raise InfeasibleConstraints("non-negative family needs mu > 0")
-
-    dim, build, random_theta, anchors = _make_searcher(p, t, lam, fam, k)
-    feas_slack = None if lam is None else lam + FEAS_TOL * max(1.0, abs(lam))
-
-    used = 0
-    best_value = -math.inf
-    best_atoms = None
-
-    mean_tol = MOMENT_TOL * max(1.0, abs(p.mu))
-    var_tol = MOMENT_TOL * p.sigma**2
-
-    def evaluate(theta):
-        nonlocal used, best_value, best_atoms
-        used += 1
-        atoms = build(theta)
-        if atoms is None:
-            return -math.inf
-        mean = math.fsum(q * x for x, q in atoms)
-        if abs(mean - p.mu) > mean_tol:
-            return -math.inf
-        var = math.fsum(q * (x - p.mu) ** 2 for x, q in atoms)
-        if abs(var - p.sigma**2) > var_tol:
-            return -math.inf
-        if feas_slack is not None:
-            lpm1 = sum(q * (t - x) for x, q in atoms if x < t)
-            if lpm1 > feas_slack:
-                return -math.inf
-        value = sum(q * (x - t) ** 2 for x, q in atoms if x > t)
-        if value > best_value:
-            best_value = value
-            best_atoms = atoms
-        return value
-
-    n_starts = max(1, round(STARTS_PER_100K * budget / 100_000))
-    per_start = budget // n_starts
-    for idx in range(n_starts):
-        if used >= budget:
-            break
-        allowance = min(per_start, budget - used)
-        if allowance <= 0:
-            break
-        cap = used + allowance
-        rng = random.Random(f"{seed}:{idx}")
-        theta = list(anchors[idx]) if idx < len(anchors) else random_theta(rng)
-        value = evaluate(theta)
-        step = 1.0
-        for _sweep in range(CD_SWEEPS):
-            if used >= cap:
-                break
-            for ci in range(dim):
-                for sign in (1.0, -1.0):
-                    if used >= cap:
-                        break
-                    cand = list(theta)
-                    cand[ci] += sign * step
-                    v = evaluate(cand)
-                    if v > value:
-                        theta, value = cand, v
-                        break
-            step *= CD_SHRINK
-
-    if best_atoms is None:
-        raise BudgetExhausted(
-            f"no feasible {fam.value} {k}-point candidate in {used} evaluations",
-            best_value=None,
-        )
-    witness = DiscreteDistribution.from_pairs(best_atoms)
-    return OracleReport(
-        best_value=partial_moments(witness, t).upm2,
-        witness=witness,
-        evaluations=used,
-        seed=seed,
-    )
+    return certify(p, t, lam, fam)

@@ -11,7 +11,7 @@ Each evaluator returns the exact supremum of the requested partial moment
 over the set, together with a regime tag naming the piecewise branch that
 fired.  Suprema are attained or approached by explicit discrete
 distributions; see :mod:`wctsv.oracle` for the constructions and for the
-independent brute-force check.
+independent two-sided check by a moment LP.
 """
 
 from __future__ import annotations

@@ -10,7 +10,12 @@ import wctsv.cli
 from wctsv.cli import main
 from wctsv.frontier import classical_mv, frontier_params
 from wctsv.market_data import compute_losses, estimate_moments, load_price_panel
-from wctsv.worst_case import Family, MomentProfile, wc_expected_regret
+from wctsv.worst_case import (
+    Family,
+    MomentProfile,
+    wc_expected_regret,
+    wc_target_semivariance_constrained,
+)
 
 
 @pytest.fixture
@@ -112,10 +117,15 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
-VERIFY_HEADER = [
-    "mu", "sigma", "t", "lam", "family", "k",
-    "closed_form", "oracle_value", "witness_value", "gap",
-]
+VERIFY_HEADER = ["mu", "sigma", "t", "lam", "closed_form", "oracle_value", "upper_value"]
+
+
+def assert_bracketed(row, slack):
+    closed, oracle = float(row["closed_form"]), float(row["oracle_value"])
+    upper = float(row["upper_value"])
+    scale = float(row["sigma"]) ** 2 + (float(row["t"]) - float(row["mu"])) ** 2
+    assert closed - slack * scale <= oracle <= closed + 1e-6 * scale
+    assert closed - 1e-9 * scale <= upper <= closed + 1e-9 * scale
 
 
 class TestVerify:
@@ -130,10 +140,14 @@ class TestVerify:
         assert len(rows) == 8
         assert list(rows[0]) == VERIFY_HEADER
         for row in rows:
-            assert row["family"] == "symmetric" and row["k"] == "5" and row["lam"] == ""
-            closed, oracle = float(row["closed_form"]), float(row["oracle_value"])
-            scale = float(row["sigma"]) ** 2 + (float(row["t"]) - float(row["mu"])) ** 2
-            assert closed - 5e-3 * scale <= oracle <= closed + 1e-6 * scale
+            assert row["lam"] == ""
+            assert_bracketed(row, 5e-3)
+            # repr round-trips, so the row holds the library's exact value
+            profile = MomentProfile(float(row["mu"]), float(row["sigma"]))
+            closed = wc_target_semivariance_constrained(
+                profile, float(row["t"]), None, Family.SYMMETRIC
+            ).value
+            assert row["closed_form"] == repr(closed)
 
     def test_constrained_sweep_cycles_regimes(self, runner, tmp_path):
         out = tmp_path / "report.csv"
@@ -147,7 +161,7 @@ class TestVerify:
         assert len(rows) == 6
         regimes = set()
         for row in rows:
-            assert row["k"] == "6"
+            assert_bracketed(row, 5e-2)
             lam = float(row["lam"])
             assert lam > 0
             m = lam + float(row["mu"]) - float(row["t"])
@@ -223,7 +237,17 @@ class TestVerify:
              "--budget", "10000", "--out", str(tmp_path / "nn.csv")],
         )
         assert ok.exit_code == 0, ok.output
-        assert all(row["k"] == "3" for row in read_rows(tmp_path / "nn.csv"))
+        for row in read_rows(tmp_path / "nn.csv"):
+            assert_bracketed(row, 5e-3)
+
+    def test_constrained_seed_8_brackets_every_tuple(self, runner, tmp_path):
+        # the old search found no feasible member for one of these tuples
+        out = tmp_path / "seed8.csv"
+        res = runner.invoke(main, ["verify", "--constrained", "--seed", "8", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out)
+        assert len(rows) == 200
+        assert all(row["oracle_value"] and row["upper_value"] for row in rows)
 
 
 class TestFrontierCmd:

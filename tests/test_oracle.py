@@ -1,26 +1,30 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wctsv import (
-    BudgetExhausted,
     DiscreteDistribution,
     EmptyUncertaintySet,
     Family,
     InfeasibleConstraints,
     InfeasibleSupport,
+    InvalidBudget,
     InvalidProfile,
+    InvalidThreshold,
     MomentProfile,
     NoKnownWitness,
     brute_force_worst_case,
+    certify,
     partial_moments,
     two_point_match,
     wc_target_semivariance,
     wc_target_semivariance_constrained,
     witness_family,
 )
+from wctsv import oracle
 
 ARB, SYM, NN = Family.ARBITRARY, Family.SYMMETRIC, Family.NON_NEGATIVE
 
@@ -245,60 +249,143 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mu,sigma,t,lam,fam,k", ORACLE_CASES)
-def test_oracle_brackets_closed_form(mu, sigma, t, lam, fam, k):
-    p = MomentProfile(mu, sigma)
-    if lam is None:
-        closed = wc_target_semivariance(p, t, fam).value
-    else:
-        closed = wc_target_semivariance_constrained(p, t, lam, fam).value
-    rep = brute_force_worst_case(p, t, lam, fam, k, budget=15_000, seed=11)
-    scale = sigma * sigma + (t - mu) ** 2
-    assert rep.best_value >= closed - 5e-3 * scale
-    assert rep.best_value <= closed + 1e-6 * scale
-    assert rep.evaluations <= 15_000
+def check_family(d, fam, p):
+    if fam is SYM:
+        assert d.is_symmetric(center=p.mu, tol=1e-9)
+    if fam is NN:
+        assert d.atoms[0][0] >= 0.0
+
+
+def check_bracket(rep, p, t, lam, fam):
+    """Lower and upper values bracket the closed form within 1e-9 of the
+    scale; the lower one is a member's value, at most 1e-5 of the scale
+    short (the vanishing tails of limit regimes fall about 1e-6 short)."""
+    closed = wc_target_semivariance_constrained(p, t, lam, fam).value
+    scale = p.sigma**2 + (t - p.mu) ** 2
+    assert closed - 1e-5 * scale <= rep.best_value <= closed + 1e-9 * scale
+    assert closed - 1e-9 * scale <= rep.upper_value <= closed + 1e-9 * scale
     check_membership(rep.witness, p, t, lam)
+    check_family(rep.witness, fam, p)
     assert rep.best_value == partial_moments(rep.witness, t).upm2
 
 
+@pytest.mark.parametrize("mu,sigma,t,lam,fam,k", ORACLE_CASES)
+def test_oracle_brackets_closed_form(mu, sigma, t, lam, fam, k):
+    p = MomentProfile(mu, sigma)
+    rep = brute_force_worst_case(p, t, lam, fam, k=k)
+    check_bracket(rep, p, t, lam, fam)
+    assert rep == certify(p, t, lam, fam)
+
+
+def random_tuple(rng, fam, budgeted):
+    mu = rng.uniform(0.05, 2.0) if fam is NN else rng.uniform(-2.0, 2.0)
+    sigma = rng.uniform(0.2, 3.0)
+    t = mu + rng.uniform(-2.5, 2.5) * sigma
+    lam = None
+    if budgeted:
+        lam = max(t - mu, 0.0) + sigma * 10 ** rng.uniform(-3.0, 1.0)
+    return MomentProfile(mu, sigma), t, lam
+
+
+@pytest.mark.parametrize("budgeted", [False, True])
+@pytest.mark.parametrize("fam", [ARB, SYM, NN])
+def test_certify_brackets_random_tuples(fam, budgeted):
+    rng = random.Random(f"{fam.value}:{budgeted}")
+    for _ in range(150):
+        p, t, lam = random_tuple(rng, fam, budgeted)
+        check_bracket(certify(p, t, lam, fam), p, t, lam, fam)
+
+
+@pytest.mark.parametrize("fam", [ARB, SYM, NN])
+def test_certify_on_the_budget_floor(fam):
+    # exactly on the floor every member lies at or below t, so the
+    # supremum jumps to 0; an ulp above the floor it does not
+    p, t = MomentProfile(1.0, 0.5), 2.0
+    rep = certify(p, t, 1.0, fam)
+    assert (rep.best_value, rep.upper_value, rep.multipliers) == (0.0, 0.0, (0.0,) * 4)
+    check_membership(rep.witness, p, t, 1.0)
+    check_family(rep.witness, fam, p)
+    above = math.nextafter(1.0, 2.0)
+    closed = wc_target_semivariance_constrained(p, t, above, fam).value
+    assert closed > 0.0
+    assert certify(p, t, above, fam).upper_value == pytest.approx(closed, rel=1e-9)
+    check_bracket(certify(p, t, 1.0 + 1e-3, fam), p, t, 1.0 + 1e-3, fam)
+
+
+LIMIT_CASES = [
+    (0.0, 1.0, 0.5, None, SYM),
+    (0.3, 1.7, 2.0, 2.5, SYM),
+    (0.0, 1.0, 0.0, None, ARB),
+    (-0.5, 2.0, 1.5, None, ARB),
+    (1.0, 1.0, 2.0, 1.5, ARB),
+    (1.0, 0.5, 1.5, None, NN),
+]
+
+
+@pytest.mark.parametrize("mu,sigma,t,lam,fam", LIMIT_CASES)
+def test_limit_regimes_need_the_column_at_infinity(monkeypatch, mu, sigma, t, lam, fam):
+    p = MomentProfile(mu, sigma)
+    check_bracket(certify(p, t, lam, fam), p, t, lam, fam)
+    # without it, atoms may only run out to the pricing horizon, and the
+    # dual bound falls below the supremum
+    monkeypatch.setattr(oracle, "_at_infinity", lambda pieces: [])
+    rep = certify(p, t, lam, fam)
+    closed = wc_target_semivariance_constrained(p, t, lam, fam).value
+    scale = sigma**2 + (t - mu) ** 2
+    assert rep.upper_value < closed - 1e-9 * scale
+
+
+def test_multipliers_certify_by_weak_duality():
+    # at the budget-binding point of criterion 1 the multipliers are exact
+    rep = certify(MomentProfile(0.0, 2.0), -0.2, 0.5, SYM)
+    assert rep.multipliers == pytest.approx((3 / 50, 0.0, 1 / 2, 2 / 5), abs=1e-12)
+    a0, a1, a2, b = rep.multipliers
+    assert rep.upper_value == pytest.approx(a0 + a2 * 4.0 + b * 0.5, abs=1e-12)
+    assert rep.best_value == pytest.approx(2.26, abs=1e-12)
+
+
 def test_oracle_is_deterministic():
-    p = MomentProfile(0.2, 1.3)
-    a = brute_force_worst_case(p, -0.4, 0.7, SYM, 6, budget=12_000, seed=5)
-    b = brute_force_worst_case(p, -0.4, 0.7, SYM, 6, budget=12_000, seed=5)
-    assert a == b
-    c = brute_force_worst_case(p, -0.4, 0.7, SYM, 6, budget=12_000, seed=6)
-    assert c.best_value == pytest.approx(a.best_value, rel=1e-2)
+    # no seeds: the same inputs give the same report, byte for byte
+    rng = random.Random(5)
+    for fam in (ARB, SYM, NN):
+        for budgeted in (False, True):
+            p, t, lam = random_tuple(rng, fam, budgeted)
+            assert repr(certify(p, t, lam, fam)) == repr(certify(p, t, lam, fam))
 
 
 def test_oracle_validation():
     p = MomentProfile(0.0, 1.0)
-    with pytest.raises(ValueError):
-        brute_force_worst_case(p, 0.0, None, SYM, 4, budget=15_000, seed=1)
-    with pytest.raises(ValueError):
-        brute_force_worst_case(p, 0.0, None, SYM, 3, budget=15_000, seed=1)
-    with pytest.raises(ValueError):
-        brute_force_worst_case(p, 0.0, None, ARB, 5, budget=15_000, seed=1)
-    with pytest.raises(ValueError):
-        brute_force_worst_case(p, 0.0, None, ARB, 3, budget=9_999, seed=1)
+    for fam, k in ((SYM, 4), (SYM, 3), (SYM, 2), (ARB, 5), (ARB, 2), (NN, 6)):
+        with pytest.raises(ValueError):
+            brute_force_worst_case(p, 0.0, None, fam, k=k)
     with pytest.raises(InfeasibleConstraints):
-        brute_force_worst_case(MomentProfile(-1.0, 1.0), 0.0, None, NN, 3, budget=15_000, seed=1)
+        brute_force_worst_case(MomentProfile(-1.0, 1.0), 0.0, None, NN, k=3)
+    with pytest.raises(InvalidBudget):
+        certify(p, 0.0, 0.0, SYM)
+    with pytest.raises(InvalidThreshold):
+        certify(p, math.inf, None, ARB)
 
 
-def test_oracle_budget_exhausted_when_family_infeasible():
-    # the only symmetric two-point candidate violates this tight budget
-    with pytest.raises(BudgetExhausted):
-        brute_force_worst_case(MomentProfile(0.0, 1.0), -0.5, 0.01, SYM, 2, budget=10_000, seed=3)
+def test_oracle_reports_an_empty_set():
     # on the budget floor no symmetric member has sigma > t - mu
-    with pytest.raises(BudgetExhausted):
-        brute_force_worst_case(MomentProfile(0.0, 1.5), 1.0, 1.0, SYM, 6, budget=10_000, seed=3)
+    with pytest.raises(InfeasibleConstraints):
+        certify(MomentProfile(0.0, 1.5), 1.0, 1.0, SYM)
     with pytest.raises(EmptyUncertaintySet):
         wc_target_semivariance_constrained(MomentProfile(0.0, 1.5), 1.0, 1.0, SYM)
+    # nor a non-negative one with sigma^2 > mu (t - mu)
+    with pytest.raises(InfeasibleConstraints):
+        certify(MomentProfile(1.0, 2.0), 2.0, 1.0, NN)
+    # below the floor the budget cannot be met at all
+    with pytest.raises(InfeasibleConstraints):
+        certify(MomentProfile(0.0, 1.0), 1.0, 0.5, ARB)
 
 
 def test_oracle_two_point_families():
+    # where a two-point member attains the supremum, it is the one returned
     p = MomentProfile(0.0, 1.0)
-    rep = brute_force_worst_case(p, -0.5, None, SYM, 2, budget=10_000, seed=1)
+    rep = brute_force_worst_case(p, -0.5, None, SYM, k=5)
     assert rep.witness.atoms == ((-1.0, 0.5), (1.0, 0.5))
-    rep = brute_force_worst_case(MomentProfile(1.0, 1.0), 0.5, None, NN, 2, budget=10_000, seed=1)
+    p = MomentProfile(1.0, 1.0)
+    rep = brute_force_worst_case(p, 0.5, None, NN, k=3)
     assert rep.witness.atoms[0][0] >= 0.0
-    check_membership(rep.witness, MomentProfile(1.0, 1.0), 0.5, None)
+    check_membership(rep.witness, p, 0.5, None)
