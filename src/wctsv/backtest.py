@@ -9,7 +9,6 @@ continue.  Nothing is skipped silently.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -130,8 +129,11 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
     Day ``k`` of the out-of-sample range uses moments from the ``window``
     losses ending at ``k - 1``, then realizes return ``-w^T losses[k]``.
     Each day builds the short-selling frontier once for MV, TSV and
-    M_TSV_S and walks the long-only frontier once for EEP_TSV and
-    EEP_TSV_S, and only while a model that needs it is still running.
+    M_TSV_S, and one lazily walked long-only frontier for EEP_TSV and
+    EEP_TSV_S, each only while a model that needs it is still running.
+    Each EEP rule walks that chain, after its own checks, only as far as
+    its own stop, and reuses what the other already walked; a walk that
+    fails fails every rule that reads past the failure, as it would alone.
     """
     n = panel.losses.shape[0]
     if n < cfg.window + 1:
@@ -168,10 +170,7 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
                     histories[name]["failure"] = (day, str(exc))
                 alive = [name for name in alive if name not in short_selling]
         if any(name not in short_selling for name in alive):
-            # a walk that fails is repeated by each EEP solver after its own
-            # checks, so each fails (or returns its floor vertex) as it would alone
-            with contextlib.suppress(WctsvError):
-                chain = _long_only_frontier(model)
+            chain = _long_only_frontier(model)
         for name in alive:
             hist = histories[name]
             try:

@@ -249,7 +249,10 @@ def witness_family(
                 if sg >= 2.0 * m - s:
                     # budget binds: outer mass p, inner atoms at t and its mirror
                     pm = 2.0 * lam * lam / (sg * sg + 3.0 * s * s - 4.0 * m * s)
-                    arm = lam / pm
+                    arm = lam / pm if pm > 0.0 else math.inf
+                    if not math.isfinite(arm):
+                        # a tiny budget: lam^2 underflows, or the arm overflows
+                        raise NoKnownWitness("outer atoms leave the floats at this budget")
                     return DiscreteDistribution.from_pairs(
                         [
                             (t - arm, pm),

@@ -16,18 +16,22 @@ short-selling frontier, and both solvers use the exact minimizers the
 short-selling rules use: EEP_TSV the sign rule of
 :func:`wctsv.frontier._tsv_minimizer`, like TSV; EEP_TSV_S the first
 smallest of :func:`wctsv.frontier._segment_candidates`, like M_TSV_S.
-Segment weights are clipped at 0 here, where the frontier is long-only.  A
-caller solving both rules on one model can walk the chain once and pass it
-to each.  Each answer is checked exactly from the walk's own data: EEP_TSV
-by its KKT residual, EEP_TSV_S by the frontier KKT residual at
-``kappa = -V'(xi)`` plus the slope certificate it shares with M_TSV_S,
-:func:`wctsv.frontier._certify_slopes`.  There is no search, seed, step
-size or finite difference.
+Segment weights are clipped at 0 here, where the frontier is long-only.
+The chain is walked lazily, one corner at a time, and keeps what it walked,
+so each rule walks only as far as its own stop: EEP_TSV down to its ``f'``
+sign change, EEP_TSV_S until an exact lower bound shows that no later
+point can win.  A caller solving both rules on one model can create the
+chain once and pass it to each.  Each answer is checked exactly from the
+walk's own data: EEP_TSV by its KKT residual, EEP_TSV_S by the frontier
+KKT residual at ``kappa = -V'(xi)`` plus the slope certificate it shares
+with M_TSV_S, :func:`wctsv.frontier._certify_slopes`.  There is no search,
+seed, step size or finite difference.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +52,9 @@ __all__ = [
 ]
 
 ACTIVE_TOL = 1e-12
+# EEP_TSV_S's early stop: relative room for the chain's low end lying an ulp
+# below min mu and for sigma rounding between neighbouring segments
+STOP_MARGIN = 1e-12
 
 
 def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
@@ -129,21 +136,60 @@ def _active_set_qp(q2: np.ndarray, c: np.ndarray):
     return None
 
 
-def _long_only_frontier(m: MarketModel) -> list[_Segment]:
-    """Lower half of the long-only minimum-variance frontier.
+class _Chain(Sequence):
+    """A walk's segments, produced on demand and kept.
 
-    Critical-line walk of ``min w^T cov w + kappa mu^T w`` over the simplex
-    from ``kappa = 0`` (the long-only global minimum-variance portfolio) to
-    ``kappa -> inf`` (``xi = min mu``).  On a free set ``F`` one KKT solve of
-    ``2 cov_FF w_F + kappa mu_F = gamma 1``, ``1^T w_F = 1`` makes ``w_F``
-    and ``gamma`` affine in ``kappa``.  The next corner is the smallest
-    ``kappa`` at which a free weight falls to 0 (its asset leaves ``F``) or
-    an inactive asset's multiplier ``2 (cov w)_i + kappa mu_i - gamma``
-    falls to 0 (it joins ``F``).  ``xi = mu_F^T w_F`` is affine and
-    non-increasing in ``kappa``, so each piece of positive length is
-    re-expressed in ``xi``; along it ``V'(xi) = -kappa``.  A frontier that
-    is a single point comes back as one segment with ``lo == hi``.
+    Iterating or indexing pulls segments from the walk only as far as the
+    reader goes; a negative index, a slice or ``len`` walks it to the end.
+    An error the walk raised is raised again to every later reader, so a
+    failed walk never reads as a short chain.
     """
+
+    def __init__(self, walk: Iterator[_Segment]) -> None:
+        self._walk: Iterator[_Segment] | None = walk
+        self._segments: list[_Segment] = []
+        self._error: Exception | None = None
+
+    @property
+    def built(self) -> int:
+        """Segments walked so far."""
+        return len(self._segments)
+
+    def _pull(self) -> bool:
+        """Walk one segment further; False once the walk has ended."""
+        if self._error is not None:
+            raise self._error
+        if self._walk is None:
+            return False
+        try:
+            self._segments.append(next(self._walk))
+        except StopIteration:
+            self._walk = None
+            return False
+        except Exception as exc:
+            self._error, self._walk = exc, None
+            raise
+        return True
+
+    def __iter__(self) -> Iterator[_Segment]:
+        i = 0
+        while i < len(self._segments) or self._pull():
+            yield self._segments[i]
+            i += 1
+
+    def __getitem__(self, i):
+        while (isinstance(i, slice) or not 0 <= i < len(self._segments)) and self._pull():
+            pass
+        return self._segments[i]
+
+    def __len__(self) -> int:
+        while self._pull():
+            pass
+        return len(self._segments)
+
+
+def _critical_line(m: MarketModel) -> Iterator[_Segment]:
+    """The segments of :func:`_long_only_frontier`, one corner at a time."""
     mu, cov = m.mu_vec, m.cov
     d = m.dim
     start = _active_set_qp(2.0 * cov, np.zeros(d))
@@ -151,18 +197,19 @@ def _long_only_frontier(m: MarketModel) -> list[_Segment]:
         raise NonConvergence("long-only minimum-variance QP did not settle")
     free = start[0] > 0.0
     kappa, last = 0.0, -1
-    segments: list[_Segment] = []
+    walked = False
     for _ in range(4 * d + 4):
         f = np.flatnonzero(free)
         out = np.flatnonzero(~free)
         n = f.size
+        cff = cov[np.ix_(f, f)]
         # the kappa-slope right-hand side -mu_F is split as -(mu_F - ref) - ref:
         # the constant part only shifts gamma, so equal free means give w1 == 0
         ref = float(mu[f[0]])
         rhs = np.zeros((n + 1, 2))
         rhs[n, 0] = 1.0
         rhs[:n, 1] = ref - mu[f]
-        sol = _budget_kkt(2.0 * cov[np.ix_(f, f)], rhs)
+        sol = _budget_kkt(2.0 * cff, rhs)
         w0, w1 = sol[:n, 0], sol[:n, 1]
         cross = 2.0 * cov[np.ix_(out, f)]
         ids = np.concatenate([f, out])
@@ -178,21 +225,40 @@ def _long_only_frontier(m: MarketModel) -> list[_Segment]:
         hi, lo = x0 + x1 * kappa, x0 + x1 * corner
         if x1 < 0.0 and lo < hi:
             p, q = w0 + w1 * kappa, w1 / x1
-            cff = cov[np.ix_(f, f)]
             cq = cff @ q
-            segments.append(
-                _Segment(f, p, q, lo, hi, float(q @ cq), 2.0 * float(p @ cq), float(p @ cff @ p))
-            )
+            yield _Segment(f, p, q, lo, hi, float(q @ cq), 2.0 * float(p @ cq), float(p @ cff @ p))
+            walked = True
         free[asset] = not free[asset]
         kappa, last = corner, asset
     else:
         raise NonConvergence("critical line did not reach min mu")
-    if not segments:
+    if not walked:
         w = start[0]
         f = np.flatnonzero(w > 0.0)
         xi = float(w @ mu)
-        segments.append(_Segment(f, w[f], np.zeros(f.size), xi, xi, 0.0, 0.0, float(w @ cov @ w)))
-    return segments
+        yield _Segment(f, w[f], np.zeros(f.size), xi, xi, 0.0, 0.0, float(w @ cov @ w))
+
+
+def _long_only_frontier(m: MarketModel) -> _Chain:
+    """Lower half of the long-only minimum-variance frontier, walked lazily.
+
+    Critical-line walk of ``min w^T cov w + kappa mu^T w`` over the simplex
+    from ``kappa = 0`` (the long-only global minimum-variance portfolio) to
+    ``kappa -> inf`` (``xi = min mu``).  On a free set ``F`` one KKT solve of
+    ``2 cov_FF w_F + kappa mu_F = gamma 1``, ``1^T w_F = 1`` makes ``w_F``
+    and ``gamma`` affine in ``kappa``.  The next corner is the smallest
+    ``kappa`` at which a free weight falls to 0 (its asset leaves ``F``) or
+    an inactive asset's multiplier ``2 (cov w)_i + kappa mu_i - gamma``
+    falls to 0 (it joins ``F``).  ``xi = mu_F^T w_F`` is affine and
+    non-increasing in ``kappa``, so each piece of positive length is
+    re-expressed in ``xi``; along it ``V'(xi) = -kappa``.  A frontier that
+    is a single point comes back as one segment with ``lo == hi``.
+
+    Nothing runs until the chain is read: the minimum-variance QP on the
+    first read, then one corner per segment, so each reader walks only as
+    far as it stops and a second reader reuses what the first walked.
+    """
+    return _Chain(_critical_line(m))
 
 
 def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
@@ -204,14 +270,15 @@ def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
 
 
 def eep_tsv_portfolio(
-    m: MarketModel, t: float, lam: float, frontier: list[_Segment] | None = None
+    m: MarketModel, t: float, lam: float, frontier: Sequence[_Segment] | None = None
 ) -> Portfolio:
     """Long-only minimizer of the budgeted arbitrary-family worst case.
 
     Above the budget floor the objective ``f = V(xi) + (xi - t)_+^2`` is
     convex and differentiable along the long-only frontier (``frontier``,
     walked here when not given), and :func:`wctsv.frontier._tsv_minimizer`
-    finds its minimizer by the sign of ``f'``.  The KKT conditions over the
+    finds its minimizer by the sign of ``f'``, walking the chain only down
+    to the first segment whose lower end has ``f' <= 0``.  The KKT conditions over the
     simplex are checked at the result to ``KKT_TOL``.  When the budget sits
     exactly on its floor the binding vertex is the whole feasible story and
     the objective collapses to 0.
@@ -234,7 +301,8 @@ def eep_tsv_portfolio(
             regime="lambda == (xi-t)_-",
         )
 
-    seg, root = _tsv_minimizer(frontier or _long_only_frontier(m), t)
+    chain = frontier if frontier is not None else _long_only_frontier(m)
+    seg, root = _tsv_minimizer(chain, t)
     w = np.maximum(seg.weights(m.dim, root), 0.0)
 
     xi = float(w @ mu)
@@ -253,7 +321,7 @@ def eep_tsv_portfolio(
 
 
 def _certify_symmetric(
-    chain: list[_Segment], w: np.ndarray, p: MomentProfile, f: float,
+    chain: Sequence[_Segment], w: np.ndarray, p: MomentProfile, f: float,
     m: MarketModel, t: float, lam: float,
 ) -> None:
     """Raise :class:`NonConvergence` unless EEP_TSV_S's winner ``w`` (at
@@ -267,11 +335,13 @@ def _certify_symmetric(
     than the frontier does for the same change in ``xi``, so it remains
     for :func:`wctsv.frontier._certify_slopes` to check the objective's
     one-sided slopes along the chain, from ``xi = min mu`` to its top.
+    Only the chain's segments down to the winner's are read.
     """
     if f == 0.0:
         return
     mu = m.mu_vec
-    spread = float(mu.max() - mu.min())
+    bottom = float(mu.min())
+    spread = float(mu.max()) - bottom
     xi = p.mu
     tol = 1e-12 * (spread + abs(xi))
     seg = next((s for s in chain if s.lo - tol <= xi <= s.hi + tol), None)
@@ -281,44 +351,60 @@ def _certify_symmetric(
     residual = _kkt_residual(w, 2.0 * m.cov @ w - dv * mu)
     if residual > KKT_TOL:
         raise NonConvergence(f"frontier KKT residual {residual:.3e} above {KKT_TOL}")
-    _certify_slopes(seg, xi, f, t, lam, chain[-1].lo, chain[0].hi, spread)
+    _certify_slopes(seg, xi, f, t, lam, bottom, chain[0].hi, spread)
 
 
 def eep_tsv_s_portfolio(
-    m: MarketModel, t: float, lam: float, frontier: list[_Segment] | None = None
+    m: MarketModel, t: float, lam: float, frontier: Sequence[_Segment] | None = None
 ) -> Portfolio:
     """Long-only minimizer of the budgeted symmetric-family worst case.
 
     The candidates are those of :func:`wctsv.frontier._segment_candidates`
-    on every segment of the long-only frontier (``frontier``, walked here
-    when not given) plus the vertices at ``min mu`` (where the
-    exact-equality floor branch can fire; above the floor every other
+    on each segment of the long-only frontier (``frontier``, walked here
+    when not given) in chain order, then the vertices at ``min mu`` (where
+    the exact-equality floor branch can fire; above the floor every other
     vertex is dominated by a frontier point with no larger ``xi`` or
-    ``sigma``).  Each is scored by the closed form at its rebuilt weights,
-    the first smallest wins, and :func:`_certify_symmetric` checks the
-    winner's first-order optimality exactly.
+    ``sigma``).  Each is scored by the closed form at its rebuilt weights
+    and the first smallest wins.  The walk stops after a segment once
+    ``h(min mu, sigma(lo))`` exceeds the best value by ``STOP_MARGIN``
+    relative: every later point, the vertices included, has ``xi >= min mu``
+    and ``sigma >= sigma(lo)``, and every branch is non-decreasing in both,
+    so none can win.  :func:`_certify_symmetric` checks the winner's
+    first-order optimality exactly.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
     d = m.dim
-    chain = frontier or _long_only_frontier(m)
+    bottom = float(mu.min())
+    chain = frontier if frontier is not None else _long_only_frontier(m)
 
-    candidates = []
-    for seg in chain:
-        xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
-        candidates.extend(np.maximum(seg.weights(d, xi), 0.0) for xi in xs)
-    candidates.extend(np.eye(d)[mu == mu.min()])
+    def value(p: MomentProfile):
+        try:
+            return wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
+        except EmptyUncertaintySet:
+            return None
 
     best = None
-    for w in candidates:
+
+    def score(w: np.ndarray) -> MomentProfile:
+        nonlocal best
         sigma = max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
         p = MomentProfile(float(w @ mu), sigma)
-        try:
-            r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
-        except EmptyUncertaintySet:
-            continue
-        if best is None or r.value < best[2].value:
+        r = value(p)
+        if r is not None and (best is None or r.value < best[2].value):
             best = (w, p, r)
+        return p
+
+    for seg in chain:
+        xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
+        profiles = [score(np.maximum(seg.weights(d, xi), 0.0)) for xi in xs]
+        if best is not None:
+            bound = value(MomentProfile(bottom, profiles[1].sigma))  # xs[1] is seg.lo
+            if bound is not None and bound.value > best[2].value * (1.0 + STOP_MARGIN):
+                break
+    else:
+        for w in np.eye(d)[mu == bottom]:
+            score(w)
     if best is None:
         raise EmptyUncertaintySet(
             f"no simplex portfolio has a non-empty symmetric set at t={t}, lambda={lam}"

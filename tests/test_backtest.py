@@ -1,5 +1,8 @@
+import importlib.resources
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from wctsv.backtest import (
     summarize,
 )
 from wctsv.frontier import classical_mv, frontier_params
-from wctsv.market_data import LossPanel, estimate_moments
+from wctsv.market_data import LossPanel, compute_losses, estimate_moments, load_price_panel
+from wctsv.simplex import _Chain, _critical_line, _long_only_frontier
 
 
 def loss_panel(losses):
@@ -189,17 +193,55 @@ class TestRunBacktest:
             )
 
     def test_failed_shared_walk_is_left_to_the_solvers(self, monkeypatch):
-        cfg = BacktestConfig(window=9, nu=0.001)
-        want = run_backtest(random_panel(3), cfg)
+        # the day's shared walk raises after k segments (None: after its last);
+        # each EEP rule fails, or answers, exactly as it does reading a chain
+        # alone, and the rules that do not read past the failure never notice
+        panel, cfg = random_panel(3, d=6), BacktestConfig(window=9, nu=0.001)
+        want = run_backtest(panel, cfg)
+        assert want.failures == ()
+        both = {"EEP_TSV", "EEP_TSV_S"}
+        # with k=None both rules stop before the walk's end on every day
+        for k, failed in ((0, both), (2, both), (3, {"EEP_TSV_S"}), (None, set())):
 
-        def fail(model):
-            raise NonConvergence("walk failed")
+            def failing(model, k=k):
+                def walk():
+                    yield from itertools.islice(_critical_line(model), k)
+                    raise NonConvergence("walk failed")
 
-        monkeypatch.setattr(wctsv.backtest, "_long_only_frontier", fail)
-        got = run_backtest(random_panel(3), cfg)
-        assert got.failures == want.failures == ()
-        for a, b in zip(want.runs, got.runs):
-            np.testing.assert_array_equal(a.weights, b.weights)
+                return _Chain(walk())
+
+            monkeypatch.setattr(wctsv.backtest, "_long_only_frontier", failing)
+            got = run_backtest(panel, cfg)
+            assert {name for name, _, _ in got.failures} == failed
+            assert {msg for _, _, msg in got.failures} <= {"walk failed"}
+            for name in MODEL_ORDER:
+                run = got.run_for(name)
+                refs = [want.run_for(name)] if name not in failed else []
+                if name in both:
+                    refs.append(run_backtest(panel, replace(cfg, models=(name,))).run_for(name))
+                for ref in refs:
+                    assert (run.dates, run.failure) == (ref.dates, ref.failure)
+                    np.testing.assert_array_equal(run.weights, ref.weights)
+
+
+def test_bundled_eep_solves_walk_about_half_the_frontier(monkeypatch):
+    # both EEP rules stop early: at the defaults they build 5.6 of a full
+    # walk's 10.7 segments a day on the bundled panel
+    sample = importlib.resources.files("wctsv") / "data" / "sample_prices.csv"
+    with importlib.resources.as_file(sample) as path:
+        losses = compute_losses(load_price_panel(path))
+    chains = []
+
+    def record(model):
+        chains.append((model, _long_only_frontier(model)))
+        return chains[-1][1]
+
+    monkeypatch.setattr(wctsv.backtest, "_long_only_frontier", record)
+    res = run_backtest(losses, BacktestConfig())
+    assert res.failures == () and len(chains) == len(res.oos_dates)
+    built = sum(chain.built for _, chain in chains)
+    full = sum(len(_long_only_frontier(model)) for model, _ in chains)
+    assert built <= 0.6 * full
 
 
 def run_of(returns, wealth, model="MV", failure=None):

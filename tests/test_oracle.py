@@ -230,6 +230,17 @@ class TestWitnessFamily:
         d = witness_family(p, 0.5, 0.51, SYM, 1e-4)
         check_membership(d, p, 0.5, 0.51)
 
+    def test_budget_binding_with_subnormal_budget(self):
+        # lam^2 underflows, so the outer atoms' mass would be 0 and their arm
+        # lam / 0: no explicit member, not a ZeroDivisionError
+        p = MomentProfile(-0.286, 1.0)
+        with pytest.raises(NoKnownWitness):
+            witness_family(p, -0.286, 5e-324, SYM, 1e-3)
+        rep = certify(p, -0.286, 5e-324, SYM)
+        assert (rep.best_value, rep.witness) == (None, None)
+        closed = wc_target_semivariance_constrained(p, -0.286, 5e-324, SYM).value
+        assert rep.upper_value == pytest.approx(closed, rel=1e-12)
+
     def test_eps_domain(self):
         p = MomentProfile(0.0, 1.0)
         for bad in (0.0, 0.25, -0.1, 1.0):

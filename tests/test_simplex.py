@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,9 @@ from wctsv import (
 )
 from wctsv.frontier import MarketModel
 from wctsv.simplex import (
+    SIGMA_FLOOR,
+    _Chain,
+    _critical_line,
     _long_only_frontier,
     _segment_candidates,
     check_regret_feasibility,
@@ -292,15 +296,32 @@ def grid_model(kind, seed, d):
     return MarketModel(tuple(f"X{i}" for i in range(d)), mu, cov)
 
 
-def candidate_minimum(m, t, lam):
-    """The first smallest closed-form value over the exact candidates."""
+def first_smallest(m, t, lam, chain):
+    """EEP_TSV_S's answer scored over every candidate of the whole chain:
+    (weights, value, regime) of the first smallest, vertices at min mu last."""
     d = m.dim
     ws = [
         np.maximum(s.weights(d, x), 0.0)
-        for s in _long_only_frontier(m)
+        for s in chain
         for x in _segment_candidates(s, s.lo, s.hi, t, lam)
     ]
-    return min(h_sym(m, t, lam, w) for w in ws + list(np.eye(d)))
+    best = None
+    for w in ws + list(np.eye(d)[m.mu_vec == m.mu_vec.min()]):
+        sigma = max(math.sqrt(max(float(w @ m.cov @ w), 0.0)), SIGMA_FLOOR)
+        p = MomentProfile(float(w @ m.mu_vec), sigma)
+        try:
+            r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
+        except EmptyUncertaintySet:
+            continue
+        if best is None or r.value < best[1]:
+            best = (w, r.value, r.regime)
+    return best
+
+
+def candidate_minimum(m, t, lam):
+    """The smallest closed-form value over the exact candidates and every vertex."""
+    _, value, _ = first_smallest(m, t, lam, _long_only_frontier(m))
+    return min(value, *(h_sym(m, t, lam, w) for w in np.eye(m.dim)))
 
 
 # steep frontiers on which the winner ties its neighbours to rounding, tied
@@ -336,6 +357,95 @@ def test_two_asset_chain_end_one_ulp_below_min_mu(seed, lam, objective):
     m = MarketModel(("A", "B"), np.array([0.0, -0.7]), a @ a.T + 0.5 * np.eye(2))
     assert _long_only_frontier(m)[-1].lo == -0.7000000000000001
     assert eep_tsv_s_portfolio(m, -1.0, lam).objective == objective
+
+
+@pytest.mark.parametrize("kind", ["normal", "daily", "steep", "tied"])
+def test_early_stop_matches_the_full_walk(kind):
+    # each rule walks a fresh chain only as far as its stop; its answer must be
+    # bit-identical to the one the whole chain gives, and the walk must stop short
+    short = total = 0
+    for d, seed in itertools.product(range(2, 13), (3000, 3100)):
+        m = random_model(seed, d) if kind == "normal" else grid_model(kind, seed, d)
+        full = list(_long_only_frontier(m))
+        lo, hi = float(m.mu_vec.min()), float(m.mu_vec.max())
+        scale = math.sqrt(float(np.mean(np.diag(m.cov))))
+        for t in (lo - 2.0 * scale, lo, 0.5 * (lo + hi), hi, hi + 2.0 * scale):
+            for extra in (0.01, 0.1, 1.0, 10.0):
+                lam = max(t - lo, 0.0) + extra * scale
+                chain = _long_only_frontier(m)
+                pf = eep_tsv_s_portfolio(m, t, lam, chain)
+                w, value, regime = first_smallest(m, t, lam, full)
+                assert pf.weights.tobytes() == w.tobytes()
+                assert (pf.objective, pf.regime) == (value, regime)
+                short += chain.built < len(full)
+                total += 1
+
+                chain = _long_only_frontier(m)
+                pf = eep_tsv_portfolio(m, t, lam, chain)
+                ref = eep_tsv_portfolio(m, t, lam, full)
+                assert pf.weights.tobytes() == ref.weights.tobytes()
+                assert (pf.objective, pf.regime) == (ref.objective, ref.regime)
+    assert 2 * short >= total
+
+
+def failing_chain(m, k):
+    """The chain of ``m`` with a walk that raises after ``k`` segments."""
+    def walk():
+        yield from itertools.islice(_critical_line(m), k)
+        raise NonConvergence("walk failed")
+
+    return _Chain(walk())
+
+
+def test_chain_is_lazy_and_memoised():
+    m = random_model(7, d=8)
+    full = list(_long_only_frontier(m))
+    assert len(full) >= 3
+    chain = _long_only_frontier(m)
+    assert chain.built == 0  # nothing runs until the chain is read
+    assert chain[1] is chain[1]
+    assert chain.built == 2
+    assert next(iter(chain)) is chain[0]
+    assert chain.built == 2
+    got = list(chain)
+    assert chain.built == len(chain) == len(full)
+    assert [s.lo for s in got] == [s.lo for s in full]
+    assert chain[-1] is got[-1] and chain[1:] == got[1:]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_failed_walk_fails_every_later_reader(k):
+    m = random_model(7, d=8)
+    chain = failing_chain(m, k)
+    with pytest.raises(NonConvergence) as first:
+        list(chain)
+    assert chain.built == k
+    reads = [list, len, lambda c: c[-1], lambda c: c[k], lambda c: c[k:]]
+    for read in reads:
+        with pytest.raises(NonConvergence) as again:
+            read(chain)
+        assert again.value is first.value
+    # a segment walked before the failure can still be read
+    if k:
+        assert chain[k - 1].hi == list(_long_only_frontier(m))[k - 1].hi
+    # a rule reading the chain after the failure fails, or answers, as it
+    # does on a chain of its own
+    t, lam = 0.05, max(0.05 - float(m.mu_vec.min()), 0.0) + 0.8
+    for solver in (eep_tsv_portfolio, eep_tsv_s_portfolio):
+        assert outcome(solver, m, t, lam, chain) == outcome(
+            solver, m, t, lam, failing_chain(m, k)
+        )
+    if k == 0:
+        with pytest.raises(NonConvergence, match="walk failed"):
+            eep_tsv_s_portfolio(m, t, lam, chain)
+
+
+def outcome(solver, m, t, lam, chain):
+    try:
+        pf = solver(m, t, lam, chain)
+    except NonConvergence as exc:
+        return str(exc)
+    return pf.weights.tobytes(), pf.objective, pf.regime
 
 
 @pytest.mark.parametrize("solver", [eep_tsv_portfolio, eep_tsv_s_portfolio])
