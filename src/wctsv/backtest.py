@@ -64,8 +64,8 @@ class BacktestConfig:
             raise ValueError(f"window must be at least 2, got {self.window}")
         if not (math.isfinite(self.t) and math.isfinite(self.nu)):
             raise ValueError(f"t and nu must be finite, got t={self.t}, nu={self.nu}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"lambda must be finite and > 0, got {self.lam}")
         if not self.models:
             raise ValueError("at least one model required")
         unknown = [m for m in self.models if m not in MODEL_ORDER]

@@ -50,18 +50,25 @@ FAMILY_CHOICE = click.Choice([f.value for f in Family])
 
 
 class _FiniteFloat(click.ParamType):
-    """A float option that rejects nan and +/-inf, which click.FLOAT accepts."""
+    """A float option that rejects nan and +/-inf, which click.FLOAT accepts,
+    and with ``positive`` also every value <= 0."""
 
     name = "float"
+
+    def __init__(self, positive: bool = False) -> None:
+        self.positive = positive
 
     def convert(self, value, param, ctx):
         x = click.FLOAT.convert(value, param, ctx)
         if not math.isfinite(x):
             self.fail(f"{value!r} is not a finite number", param, ctx)
+        if self.positive and not x > 0.0:
+            self.fail(f"{value!r} is not > 0", param, ctx)
         return x
 
 
 FINITE_FLOAT = _FiniteFloat()
+BUDGET = _FiniteFloat(positive=True)
 
 # tolerances for the verify sweep, relative to sigma^2 + (t-mu)^2: the
 # closed form may exceed the oracle's lower value by the slack, and the lower
@@ -128,7 +135,7 @@ def main() -> None:
 @click.option(
     "--lambda",
     "lam",
-    type=click.FloatRange(min=0, min_open=True),
+    type=BUDGET,
     default=None,
     help="Budget on E[(X-t)_-]; only meaningful with --measure tsv.",
 )
@@ -335,7 +342,7 @@ def cmd_frontier(prices, window, ridge):
 @click.option(
     "--lambda",
     "lam",
-    type=click.FloatRange(min=0, min_open=True),
+    type=BUDGET,
     default=0.015,
     show_default=True,
     help="Budget for the EEP rules.",

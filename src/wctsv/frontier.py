@@ -257,24 +257,24 @@ def _segment_candidates(
     (``V'^2 = 4V`` is ``sigma' = -1``).  ``lam=None`` (no budget) drops the
     two in ``lam``.
     """
-    a, b, c = seg.a, seg.b, seg.c
-    tl = t - seg.hi
-    budgeted = lam is not None
-    r = 2.0 * lam - tl if budgeted else 0.0
-    equations = (
-        (0.0, 1.0, -tl),  # s = 0
-        (a - 1.0, b + 2.0 * tl, c - tl * tl),  # V = s^2
-        (a - 1.0, b - 2.0 * r, c - r * r) if budgeted else None,  # V = (2 lam + s)^2
-        (0.0, 2.0 * a + 2.0, b - 2.0 * tl),  # V' + 2s = 0
-        (0.0, 2.0 * a, b),  # V' = 0
-        # V'/2 + 2 lam + 3s = 0
-        (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl) if budgeted else None,
-        (4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c),  # V'^2 = 4V
-    )
+    a, b, c, top = seg.a, seg.b, seg.c, seg.hi
+    tl = t - top
+    us = [tl]  # s = 0
+    us += _real_roots(a - 1.0, b + 2.0 * tl, c - tl * tl)  # V = s^2
+    if lam is not None:
+        r = 2.0 * lam - tl
+        us += _real_roots(a - 1.0, b - 2.0 * r, c - r * r)  # V = (2 lam + s)^2
+    us.append(-(b - 2.0 * tl) / (2.0 * a + 2.0))  # V' + 2s = 0
+    if a != 0.0:
+        us.append(-b / (2.0 * a))  # V' = 0
+    if lam is not None:
+        us.append(-(0.5 * b + 2.0 * lam - 3.0 * tl) / (a + 3.0))  # V'/2 + 2 lam + 3s = 0
+    us += _real_roots(4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c)  # V'^2 = 4V
     xs = [hi, lo]
-    for coeffs in equations:
-        if coeffs is not None:
-            xs.extend(x for x in (seg.hi + u for u in _real_roots(*coeffs)) if lo <= x <= hi)
+    for u in us:
+        x = top + u
+        if lo <= x <= hi:
+            xs.append(x)
     return xs
 
 

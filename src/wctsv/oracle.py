@@ -227,10 +227,24 @@ def witness_family(
     floor).  For limit regimes the value approaches the supremum as
     ``eps`` shrinks.  Raises :class:`NoKnownWitness` where no explicit
     construction applies, including when ``eps`` is too coarse for the
-    construction to stay inside the set.
+    construction to stay inside the set and when the member's atoms or
+    moments leave the floats.
     """
     if not (0.0 < eps < 0.25):
         raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
+    try:
+        d = _member(p, t, lam, fam, eps)
+        partial_moments(d, t)  # certify scores the member by these sums
+    except OverflowError as exc:
+        raise NoKnownWitness("the member's moments leave the floats") from exc
+    return d
+
+
+def _member(
+    p: MomentProfile, t: float, lam: float | None, fam: Family, eps: float
+) -> DiscreteDistribution:
+    """:func:`witness_family`'s construction; raises OverflowError where an
+    arm leaves the floats."""
     mu, sg = p.mu, p.sigma
     floor = max(t - mu, 0.0)
 
@@ -264,6 +278,8 @@ def witness_family(
             return DiscreteDistribution.from_pairs([(mu - sg, 0.5), (mu + sg, 0.5)])
         # t > mu: three-point family, tails thinning as eps drops
         arm = math.sqrt(sg * sg / (2.0 * eps))
+        if math.isinf(arm):
+            raise OverflowError("three-point arm")
         d = DiscreteDistribution.from_pairs(
             [(mu - arm, eps), (mu, 1.0 - 2.0 * eps), (mu + arm, eps)]
         )
@@ -280,6 +296,8 @@ def witness_family(
         except InfeasibleSupport as exc:
             raise NoKnownWitness(f"no member exists on this budget boundary: {exc}") from exc
     big = sg * math.sqrt((1.0 - eps) / eps)
+    if math.isinf(big):
+        raise OverflowError("exploding atom")
     small = sg * math.sqrt(eps / (1.0 - eps))
     d = DiscreteDistribution.from_pairs([(mu - small, 1.0 - eps), (mu + big, eps)])
     if fam is Family.NON_NEGATIVE and mu - small < 0.0:
@@ -440,7 +458,8 @@ def certify(p: MomentProfile, t: float, lam: float | None, fam: Family) -> Oracl
 
     The LP is solved in units of sigma around mu and re-solved from the unit
     basis after each exchange.  Raises :class:`InfeasibleConstraints` when
-    the set has no member.
+    the set has no member, and :class:`InvalidProfile` when the upper value
+    overflows the floats.  A member whose moments overflow is not returned.
     """
     if not math.isfinite(t):
         raise InvalidThreshold(f"threshold must be finite, got {t}")
@@ -524,6 +543,8 @@ def certify(p: MomentProfile, t: float, lam: float | None, fam: Family) -> Oracl
     upper = None
     if max(inner, tail) <= CERT_TOL * (1.0 + split * split):
         upper = sg * sg * (a0 + a2 + b * lam_n + max(inner, 0.0) + max(tail, 0.0))
+        if math.isinf(upper):
+            raise InvalidProfile(f"the upper value overflows the floats at sigma={sg}")
 
     basic = [(float(v), at[j]) for v, j in zip(x, basis) if at[j] is not None and v > 0.0]
     if sum(x for x, z in basic if math.isinf(z)) > LIMIT_TOL:
@@ -538,8 +559,12 @@ def certify(p: MomentProfile, t: float, lam: float | None, fam: Family) -> Oracl
             else:  # clipped: at the support bound mu + sigma z rounds below 0
                 pairs.append((max(mu + sg * z, lower), x / total))
         witness = DiscreteDistribution.from_pairs(pairs)
+    try:
+        best_value = None if witness is None else partial_moments(witness, t).upm2
+    except OverflowError:  # a basic solution's atoms, unlike witness_family's, are unchecked
+        witness = best_value = None
     return OracleReport(
-        best_value=None if witness is None else partial_moments(witness, t).upm2,
+        best_value=best_value,
         upper_value=upper,
         multipliers=(sg * sg * a0, sg * a1, a2, sg * b),
         witness=witness,

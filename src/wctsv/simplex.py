@@ -19,8 +19,9 @@ smallest of :func:`wctsv.frontier._segment_candidates`, like M_TSV_S.
 Segment weights are clipped at 0 here, where the frontier is long-only.
 The chain is walked lazily, one corner at a time, and keeps what it walked,
 so each rule walks only as far as its own stop: EEP_TSV down to its ``f'``
-sign change, EEP_TSV_S until an exact lower bound shows that no later
-point can win.  A caller solving both rules on one model can create the
+sign change, EEP_TSV_S until an exact lower bound, the objective along the
+tangent of the convex ``sigma(xi)`` below the last segment, shows that no
+later point can win.  A caller solving both rules on one model can create the
 chain once and pass it to each.  Each answer is checked exactly from the
 walk's own data: EEP_TSV by its KKT residual, EEP_TSV_S by the frontier
 KKT residual at ``kappa = -V'(xi)`` plus the slope certificate it shares
@@ -52,9 +53,10 @@ __all__ = [
 ]
 
 ACTIVE_TOL = 1e-12
-# EEP_TSV_S's early stop: relative room for the chain's low end lying an ulp
-# below min mu and for sigma rounding between neighbouring segments
-STOP_MARGIN = 1e-12
+# EEP_TSV_S's early stop: relative room for rounding in sigma at rebuilt
+# weights, as the bound at a segment's low end ties the next segment's first
+# point; it reaches 2e-9 of the value where the means differ by 1e-5 of their size
+STOP_MARGIN = 1e-8
 
 
 def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
@@ -63,8 +65,8 @@ def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
     Scalar criterion: the worst expected loss over the simplex is the
     smallest asset mean, so the screen is ``(min_i mu_i - t)_- <= lam``.
     """
-    if not lam > 0.0:
-        raise InvalidBudget(f"budget must be > 0, got {lam}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise InvalidBudget(f"budget must be finite and > 0, got {lam}")
     return _budget_floor(m, t) <= lam
 
 
@@ -354,6 +356,29 @@ def _certify_symmetric(
     _certify_slopes(seg, xi, f, t, lam, bottom, chain[0].hi, spread)
 
 
+def _tangent_profiles(
+    seg: _Segment, sigma: float, bottom: float, t: float, lam: float
+) -> Iterator[MomentProfile]:
+    """Where the objective can be least on the tangent below ``seg``.
+
+    ``sigma(xi)`` is convex along the long-only frontier (a partial
+    minimization of a norm), so every later point, from ``seg.lo``
+    (``sigma`` there) down to ``bottom = min mu``, and every vertex at
+    ``min mu`` has ``sigma >= sigma + slope (xi - seg.lo)`` with ``slope =
+    min(V'(seg.lo) / (2 sigma), 0)``.  Every branch is non-decreasing in
+    ``xi`` and ``sigma``, so the objective's least value along that line,
+    on ``[min(bottom, seg.lo), seg.lo]``, bounds all of them from below.
+    The line is a segment whose ``V`` is a perfect square, so
+    :func:`wctsv.frontier._segment_candidates` yields its exact minimizers.
+    """
+    slope = min((2.0 * seg.a * (seg.lo - seg.hi) + seg.b) / (2.0 * sigma), 0.0)
+    line = seg._replace(
+        lo=min(bottom, seg.lo), hi=seg.lo, a=slope * slope, b=2.0 * sigma * slope, c=sigma * sigma
+    )
+    for x in _segment_candidates(line, line.lo, line.hi, t, lam):
+        yield MomentProfile(x, sigma + slope * (x - line.hi))
+
+
 def eep_tsv_s_portfolio(
     m: MarketModel, t: float, lam: float, frontier: Sequence[_Segment] | None = None
 ) -> Portfolio:
@@ -365,12 +390,12 @@ def eep_tsv_s_portfolio(
     the exact-equality floor branch can fire; above the floor every other
     vertex is dominated by a frontier point with no larger ``xi`` or
     ``sigma``).  Each is scored by the closed form at its rebuilt weights
-    and the first smallest wins.  The walk stops after a segment once
-    ``h(min mu, sigma(lo))`` exceeds the best value by ``STOP_MARGIN``
-    relative: every later point, the vertices included, has ``xi >= min mu``
-    and ``sigma >= sigma(lo)``, and every branch is non-decreasing in both,
-    so none can win.  :func:`_certify_symmetric` checks the winner's
-    first-order optimality exactly.
+    and the first smallest wins.  The walk stops after a segment once the
+    objective exceeds the best value by ``STOP_MARGIN`` relative at every
+    point of :func:`_tangent_profiles`, the exact lower bound on every later
+    point, the vertices included, so none can win.
+    :func:`_certify_symmetric` checks the winner's first-order optimality
+    exactly.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
@@ -399,8 +424,10 @@ def eep_tsv_s_portfolio(
         xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
         profiles = [score(np.maximum(seg.weights(d, xi), 0.0)) for xi in xs]
         if best is not None:
-            bound = value(MomentProfile(bottom, profiles[1].sigma))  # xs[1] is seg.lo
-            if bound is not None and bound.value > best[2].value * (1.0 + STOP_MARGIN):
+            limit = best[2].value * (1.0 + STOP_MARGIN)
+            sigma = profiles[1].sigma  # xs[1] is seg.lo
+            below = map(value, _tangent_profiles(seg, sigma, bottom, t, lam))
+            if all(r is not None and r.value > limit for r in below):
                 break
     else:
         for w in np.eye(d)[mu == bottom]:

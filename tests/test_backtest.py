@@ -64,6 +64,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             BacktestConfig(**{field: bad})
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_budget_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BacktestConfig(lam=float(bad))
+        with pytest.raises(ValueError, match="finite"):
+            parse_config_text(f"lambda = {bad}\n")
+
 
 class TestRunBacktest:
     def test_single_day_composes_known_pieces(self):
@@ -225,8 +232,8 @@ class TestRunBacktest:
 
 
 def test_bundled_eep_solves_walk_about_half_the_frontier(monkeypatch):
-    # both EEP rules stop early: at the defaults they build 5.6 of a full
-    # walk's 10.7 segments a day on the bundled panel
+    # both EEP rules stop early: at the defaults they build 1.7 of a full
+    # walk's 10.7 segments a day on the bundled panel (130 of 822)
     sample = importlib.resources.files("wctsv") / "data" / "sample_prices.csv"
     with importlib.resources.as_file(sample) as path:
         losses = compute_losses(load_price_panel(path))
@@ -241,7 +248,7 @@ def test_bundled_eep_solves_walk_about_half_the_frontier(monkeypatch):
     assert res.failures == () and len(chains) == len(res.oos_dates)
     built = sum(chain.built for _, chain in chains)
     full = sum(len(_long_only_frontier(model)) for model, _ in chains)
-    assert built <= 0.6 * full
+    assert built <= 0.2 * full
 
 
 def run_of(returns, wealth, model="MV", failure=None):

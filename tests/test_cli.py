@@ -111,6 +111,15 @@ class TestWc:
         assert res.exit_code == 2
         assert "finite" in res.output
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
+    def test_bad_budget_is_usage_error(self, runner, lam):
+        res = runner.invoke(
+            main,
+            ["wc", "--mu", "0", "--sigma", "1", "--t", "1", "--lambda", lam, "--measure", "tsv"],
+        )
+        assert res.exit_code == 2
+        assert "finite" in res.output or "> 0" in res.output
+
 
 def read_rows(path):
     with open(path, newline="") as handle:
@@ -291,6 +300,15 @@ class TestOptimizeCmd:
         )
         assert res.exit_code == 1
         assert "Error" in res.output
+
+    @pytest.mark.parametrize("model", ["EEP_TSV", "EEP_TSV_S"])
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0"])
+    def test_bad_budget_is_usage_error(self, runner, toy_prices, model, lam):
+        res = runner.invoke(
+            main, ["optimize", "--prices", str(toy_prices), "--model", model, "--lambda", lam]
+        )
+        assert res.exit_code == 2
+        assert "--lambda" in res.output
 
 
 class TestBacktestCmd:

@@ -16,6 +16,8 @@ from wctsv import (
 )
 from wctsv.frontier import (
     MarketModel,
+    _real_roots,
+    _Segment,
     _segment_candidates,
     classical_mv,
     frontier_params,
@@ -313,3 +315,39 @@ def test_non_finite_threshold_or_cap_rejected(solve, x):
     m = two_asset()
     with pytest.raises(InvalidThreshold):
         solve(frontier_params(m), m, x)
+
+
+def reference_candidates(seg, lo, hi, t, lam):
+    """_segment_candidates as each equation's roots in turn, the reference."""
+    a, b, c = seg.a, seg.b, seg.c
+    tl = t - seg.hi
+    r = 2.0 * lam - tl if lam is not None else 0.0
+    equations = [
+        (0.0, 1.0, -tl),  # s = 0
+        (a - 1.0, b + 2.0 * tl, c - tl * tl),  # V = s^2
+        (a - 1.0, b - 2.0 * r, c - r * r) if lam is not None else None,  # V = (2 lam + s)^2
+        (0.0, 2.0 * a + 2.0, b - 2.0 * tl),  # V' + 2s = 0
+        (0.0, 2.0 * a, b),  # V' = 0
+        (0.0, a + 3.0, 0.5 * b + 2.0 * lam - 3.0 * tl) if lam is not None else None,
+        (4.0 * a * (a - 1.0), 4.0 * b * (a - 1.0), b * b - 4.0 * c),  # V'^2 = 4V
+    ]
+    xs = [hi, lo]
+    for coeffs in filter(None, equations):
+        xs += [seg.hi + u for u in _real_roots(*coeffs) if lo <= seg.hi + u <= hi]
+    return xs
+
+
+def test_segment_candidates_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    special = [0.0, 1.0, 0.5, 3.0]  # a = 0 and a = 1 drop an equation's leading term
+    for _ in range(5000):
+        a = rng.choice(special) if rng.random() < 0.3 else rng.lognormal(0.0, 4.0)
+        b = 0.0 if rng.random() < 0.2 else rng.normal() * 10.0 ** rng.uniform(-6, 3)
+        c = rng.lognormal(0.0, 4.0)
+        hi = rng.normal()
+        lo = hi - (0.0 if rng.random() < 0.2 else rng.lognormal(0.0, 2.0))
+        t = rng.choice([hi, lo, hi + rng.normal() * 10.0 ** rng.uniform(-4, 1)])
+        lam = None if rng.random() < 0.3 else rng.lognormal(0.0, 2.0)
+        seg = _Segment(np.arange(1), np.ones(1), np.zeros(1), lo, hi, float(a), b, c)
+        got = _segment_candidates(seg, lo, hi, float(t), lam)
+        assert [x.hex() for x in got] == [x.hex() for x in reference_candidates(seg, lo, hi, t, lam)]

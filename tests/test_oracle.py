@@ -16,6 +16,7 @@ from wctsv import (
     InvalidThreshold,
     MomentProfile,
     NoKnownWitness,
+    WctsvError,
     brute_force_worst_case,
     certify,
     partial_moments,
@@ -240,6 +241,47 @@ class TestWitnessFamily:
         assert (rep.best_value, rep.witness) == (None, None)
         closed = wc_target_semivariance_constrained(p, -0.286, 5e-324, SYM).value
         assert rep.upper_value == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("mu,sigma,t,lam,fam,eps", [
+        (-0.286, 1e150, -0.286, 1e-5, SYM, 1e-3),  # budget-binding arm lam/pm = 5e304
+        (0.0, 1e160, 1.0, None, SYM, 1e-3),  # sigma^2 overflows the three-point arm
+        (0.0, 1e300, 1.0, None, ARB, 1e-12),  # the exploding atom leaves the floats
+        (0.0, 1e150, 1.0, None, ARB, 1e-12),  # its squared deviation does
+    ])
+    def test_member_whose_moments_overflow(self, mu, sigma, t, lam, fam, eps):
+        with pytest.raises(NoKnownWitness):
+            witness_family(MomentProfile(mu, sigma), t, lam, fam, eps)
+
+    def test_certify_with_overflowing_member(self):
+        # the certified upper value stands without a lower member
+        p = MomentProfile(-0.286, 1e150)
+        rep = certify(p, -0.286, 1e-5, SYM)
+        assert (rep.best_value, rep.witness) == (None, None)
+        closed = wc_target_semivariance_constrained(p, -0.286, 1e-5, SYM).value
+        assert rep.upper_value == pytest.approx(closed, rel=1e-12)
+        # sigma^2 itself overflows: no upper value can be formed
+        with pytest.raises(InvalidProfile):
+            certify(MomentProfile(-0.286, 1e160), -0.286, 1e-5, SYM)
+
+    def test_certify_on_huge_sigma_raises_only_domain_errors(self):
+        rng = random.Random(0)
+        answered = 0
+        for _ in range(300):
+            fam = rng.choice(list(Family))
+            sg = 10 ** rng.uniform(100, 160)
+            mu = 10 ** rng.uniform(-3, 160)
+            if fam is not NN:
+                mu *= rng.choice([-1, 1])
+            t = mu + rng.gauss(0, 1) * sg * 10 ** rng.uniform(-3, 2)
+            lam = rng.choice([None, max(t - mu, 0) + sg * 10 ** rng.uniform(-14, 1)])
+            try:
+                rep = certify(MomentProfile(mu, sg), t, lam, fam)
+            except WctsvError:
+                continue
+            assert rep.upper_value is None or math.isfinite(rep.upper_value)
+            assert rep.best_value is None or math.isfinite(rep.best_value)
+            answered += 1
+        assert answered >= 100
 
     def test_eps_domain(self):
         p = MomentProfile(0.0, 1.0)

@@ -21,10 +21,12 @@ from wctsv import (
 from wctsv.frontier import MarketModel
 from wctsv.simplex import (
     SIGMA_FLOOR,
+    STOP_MARGIN,
     _Chain,
     _critical_line,
     _long_only_frontier,
     _segment_candidates,
+    _tangent_profiles,
     check_regret_feasibility,
     eep_tsv_portfolio,
     eep_tsv_s_portfolio,
@@ -84,6 +86,14 @@ class TestFeasibility:
     def test_budget_validation(self):
         with pytest.raises(InvalidBudget):
             check_regret_feasibility(two_asset(), 0.0, 0.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_budget_rejected(self, lam):
+        with pytest.raises(InvalidBudget, match="finite"):
+            check_regret_feasibility(two_asset(), 0.0, lam)
+        for solver in (eep_tsv_portfolio, eep_tsv_s_portfolio):
+            with pytest.raises(InvalidBudget, match="finite"):
+                solver(two_asset(), 0.0, lam)
 
 
 class TestProjection:
@@ -386,6 +396,46 @@ def test_early_stop_matches_the_full_walk(kind):
                 assert pf.weights.tobytes() == ref.weights.tobytes()
                 assert (pf.objective, pf.regime) == (ref.objective, ref.regime)
     assert 2 * short >= total
+
+
+@pytest.mark.parametrize("kind", ["normal", "daily", "steep", "tied"])
+def test_tangent_bound_is_below_every_later_point(kind):
+    # wherever EEP_TSV_S computes its stop bound, the bound may not exceed
+    # (1 + STOP_MARGIN) x the smallest value scored on any later segment or at
+    # the vertices at min mu; then a stop never skips a better point
+    checked = 0
+    for d, seed in itertools.product(range(2, 13), (3000, 3100)):
+        m = random_model(seed, d) if kind == "normal" else grid_model(kind, seed, d)
+        chain = list(_long_only_frontier(m))
+        lo, hi = float(m.mu_vec.min()), float(m.mu_vec.max())
+        scale = math.sqrt(float(np.mean(np.diag(m.cov))))
+        for t in (lo - 2.0 * scale, lo, 0.5 * (lo + hi), hi, hi + 2.0 * scale):
+            for extra in (0.01, 0.1, 1.0, 10.0):
+                lam = max(t - lo, 0.0) + extra * scale
+                scored = [
+                    min(h_sym(m, t, lam, np.maximum(s.weights(d, x), 0.0))
+                        for x in _segment_candidates(s, s.lo, s.hi, t, lam))
+                    for s in chain
+                ]
+                later = [min(h_sym(m, t, lam, w) for w in np.eye(d)[m.mu_vec == lo])]
+                for value in reversed(scored[1:]):
+                    later.insert(0, min(value, later[0]))
+                for i, s in enumerate(chain):
+                    if min(scored[: i + 1]) == math.inf:
+                        continue  # no best value yet: the bound is not computed
+                    w = np.maximum(s.weights(d, s.lo), 0.0)
+                    sigma = max(math.sqrt(max(float(w @ m.cov @ w), 0.0)), SIGMA_FLOOR)
+                    bound = math.inf
+                    for p in _tangent_profiles(s, sigma, lo, t, lam):
+                        try:
+                            r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
+                        except EmptyUncertaintySet:
+                            break  # an empty set never stops the walk
+                        bound = min(bound, r.value)
+                    else:
+                        assert bound <= (1.0 + STOP_MARGIN) * later[i], (d, seed, t, lam, i)
+                        checked += 1
+    assert checked >= 1000
 
 
 def failing_chain(m, k):
