@@ -12,7 +12,9 @@ so every simplex portfolio meets the budget and the frontier needs no
 
 Markowitz's critical-line algorithm builds that half exactly as a chain of
 :class:`wctsv.frontier._Segment`, the type that also holds the
-short-selling frontier, and both solvers use the exact minimizers the
+short-selling frontier, and finds its top, the long-only global
+minimum-variance portfolio, by active-set steps on its own first KKT
+solves, so no separate QP runs.  Both solvers use the exact minimizers the
 short-selling rules use: EEP_TSV the sign rule of
 :func:`wctsv.frontier._tsv_minimizer`, like TSV; EEP_TSV_S the first
 smallest of :func:`wctsv.frontier._segment_candidates`, like M_TSV_S.
@@ -98,46 +100,6 @@ def _require_feasible(m: MarketModel, t: float, lam: float) -> None:
         )
 
 
-def _budget_kkt(q2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``q2 w - gamma 1 = rhs[:-1]``, ``1^T w = rhs[-1]`` for ``(w, gamma)``."""
-    n = q2.shape[0]
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = q2
-    kkt[:n, n] = -1.0
-    kkt[n, :n] = 1.0
-    return np.linalg.solve(kkt, rhs)
-
-
-def _active_set_qp(q2: np.ndarray, c: np.ndarray):
-    """Minimize ``w^T (q2/2) w + c^T w`` over the simplex by primal
-    active-set iteration.  Returns (w, grad) or None when the subproblem
-    never settles."""
-    d = q2.shape[0]
-    active: set[int] = set()
-    for _ in range(3 * d + 6):
-        free = [i for i in range(d) if i not in active]
-        if not free:
-            return None
-        try:
-            sol = _budget_kkt(q2[np.ix_(free, free)], np.append(-c[free], 1.0))
-        except np.linalg.LinAlgError:
-            return None
-        w_free = sol[:-1]
-        if w_free.min() < -ACTIVE_TOL:
-            active.add(free[int(np.argmin(w_free))])
-            continue
-        w = np.zeros(d)
-        w[free] = np.maximum(w_free, 0.0)
-        grad = q2 @ w + c
-        gamma = float(grad[free].mean())
-        blocked = [i for i in sorted(active) if grad[i] - gamma < -ACTIVE_TOL]
-        if blocked:
-            active.remove(blocked[int(np.argmin([grad[i] for i in blocked]))])
-            continue
-        return w, grad
-    return None
-
-
 class _Chain(Sequence):
     """A walk's segments, produced on demand and kept.
 
@@ -194,28 +156,49 @@ def _critical_line(m: MarketModel) -> Iterator[_Segment]:
     """The segments of :func:`_long_only_frontier`, one corner at a time."""
     mu, cov = m.mu_vec, m.cov
     d = m.dim
-    start = _active_set_qp(2.0 * cov, np.zeros(d))
-    if start is None:
-        raise NonConvergence("long-only minimum-variance QP did not settle")
-    free = start[0] > 0.0
+    free = np.ones(d, dtype=bool)
     kappa, last = 0.0, -1
+    gmv = None  # the kappa = 0 system on which the active-set search settled
     walked = False
-    for _ in range(4 * d + 4):
+    for _ in range(7 * d + 10):
         f = np.flatnonzero(free)
         out = np.flatnonzero(~free)
         n = f.size
-        cff = cov[np.ix_(f, f)]
+        if n == 0:
+            raise NonConvergence("long-only minimum-variance search freed no asset")
+        mu_f = mu[f]
+        cff = cov[f[:, None], f]
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = 2.0 * cff
+        kkt[:n, n] = -1.0
+        kkt[n, :n] = 1.0
         # the kappa-slope right-hand side -mu_F is split as -(mu_F - ref) - ref:
         # the constant part only shifts gamma, so equal free means give w1 == 0
-        ref = float(mu[f[0]])
+        ref = float(mu_f[0])
         rhs = np.zeros((n + 1, 2))
         rhs[n, 0] = 1.0
-        rhs[:n, 1] = ref - mu[f]
-        sol = _budget_kkt(2.0 * cff, rhs)
+        rhs[:n, 1] = ref - mu_f
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            raise NonConvergence(f"singular KKT system on {n} free assets") from None
         w0, w1 = sol[:n, 0], sol[:n, 1]
-        cross = 2.0 * cov[np.ix_(out, f)]
-        ids = np.concatenate([f, out])
+        cross = 2.0 * cov[out[:, None], f]
         level = np.concatenate([w0, cross @ w0 - sol[n, 0]])
+        if gmv is None:
+            # kappa = 0: primal active-set search for the long-only GMV; drop the
+            # most negative weight, else readmit the most negative multiplier
+            if w0.min() < -ACTIVE_TOL:
+                free[f[int(np.argmin(w0))]] = False
+                continue
+            if out.size and level[n:].min() < -ACTIVE_TOL:
+                free[out[int(np.argmin(level[n:]))]] = True
+                continue
+            gmv = (f, kkt, rhs[:, 0])
+            if (w0 <= 0.0).any():
+                free[f[w0 <= 0.0]] = False
+                continue
+        ids = np.concatenate([f, out])
         slope = np.concatenate([w1, cross @ w1 + mu[out] - ref - sol[n, 1]])
         falling = (slope < 0.0) & (ids != last)
         if not falling.any():
@@ -223,7 +206,7 @@ def _critical_line(m: MarketModel) -> Iterator[_Segment]:
         roots = np.maximum(-level[falling] / slope[falling], kappa)
         j = int(np.argmin(roots))
         corner, asset = float(roots[j]), int(ids[falling][j])
-        x0, x1 = float(mu[f] @ w0), float(mu[f] @ w1)
+        x0, x1 = float(mu_f @ w0), float(mu_f @ w1)
         hi, lo = x0 + x1 * kappa, x0 + x1 * corner
         if x1 < 0.0 and lo < hi:
             p, q = w0 + w1 * kappa, w1 / x1
@@ -233,9 +216,12 @@ def _critical_line(m: MarketModel) -> Iterator[_Segment]:
         free[asset] = not free[asset]
         kappa, last = corner, asset
     else:
-        raise NonConvergence("critical line did not reach min mu")
+        raise NonConvergence(f"critical line did not {'reach min mu' if gmv else 'find the GMV'}")
     if not walked:
-        w = start[0]
+        # a one-column solve, as the GMV's weights round differently in a two-column one
+        f, kkt, e = gmv
+        w = np.zeros(d)
+        w[f] = np.maximum(np.linalg.solve(kkt, e)[:-1], 0.0)
         f = np.flatnonzero(w > 0.0)
         xi = float(w @ mu)
         yield _Segment(f, w[f], np.zeros(f.size), xi, xi, 0.0, 0.0, float(w @ cov @ w))
@@ -256,17 +242,25 @@ def _long_only_frontier(m: MarketModel) -> _Chain:
     re-expressed in ``xi``; along it ``V'(xi) = -kappa``.  A frontier that
     is a single point comes back as one segment with ``lo == hi``.
 
-    Nothing runs until the chain is read: the minimum-variance QP on the
-    first read, then one corner per segment, so each reader walks only as
-    far as it stops and a second reader reuses what the first walked.
+    The walk starts with every asset free.  While ``kappa = 0`` it looks for
+    the long-only global minimum-variance portfolio by primal active-set
+    steps on its own solve: the most negative weight below ``-ACTIVE_TOL``
+    leaves ``F``, else the most negative multiplier below ``-ACTIVE_TOL``
+    rejoins it; once neither happens, weights ``<= 0`` leave and that
+    solve is the first corner's.
+
+    Nothing runs until the chain is read: the first read makes the kappa = 0
+    solves, then each read one corner per segment, so each reader walks only
+    as far as it stops and a second reader reuses what the first walked.
     """
     return _Chain(_critical_line(m))
 
 
 def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
     free = w > 1e-10
-    gamma = float(grad[free].mean())
-    stationarity = float(np.abs(grad[free] - gamma).max())
+    g = grad[free]
+    gamma = float(g.sum()) / g.size
+    stationarity = float(np.abs(g - gamma).max())
     dual = float(np.maximum(gamma - grad[~free], 0.0).max()) if (~free).any() else 0.0
     return max(stationarity, dual) / (1.0 + abs(gamma))
 

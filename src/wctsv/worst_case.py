@@ -11,7 +11,9 @@ Each evaluator returns the exact supremum of the requested partial moment
 over the set, together with a regime tag naming the piecewise branch that
 fired.  Suprema are attained or approached by explicit discrete
 distributions; see :mod:`wctsv.oracle` for the constructions and for the
-independent two-sided check by a moment LP.
+independent two-sided check by a moment LP.  A supremum that does not fit
+in a float, such as one with ``sigma^2`` or ``(mu - t)^2`` beyond the
+largest double, raises :class:`~wctsv.errors.InvalidProfile`.
 """
 
 from __future__ import annotations
@@ -70,10 +72,15 @@ class MomentProfile:
 
 @dataclass(frozen=True)
 class WorstCaseValue:
-    """A supremum plus the piecewise branch that produced it."""
+    """A supremum plus the piecewise branch that produced it.  The value is
+    finite: one beyond the floats raises :class:`InvalidProfile`."""
 
     value: float
     regime: str
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise InvalidProfile(f"worst case {self.value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,10 @@ class ComplementBounds:
     inf_minus2: float
 
 
+def _not_finite(p: MomentProfile, t: float) -> InvalidProfile:
+    return InvalidProfile(f"worst case is not finite at mu={p.mu}, sigma={p.sigma}, t={t}")
+
+
 def _neg_part(x: float) -> float:
     return max(-x, 0.0)
 
@@ -96,16 +107,16 @@ def _pos_part(x: float) -> float:
     return max(x, 0.0)
 
 
-def _require_family(p: MomentProfile, fam: Family) -> None:
+def _require_inputs(p: MomentProfile, t: float, fam: Family) -> None:
     if fam is Family.NON_NEGATIVE and p.mu <= 0.0:
         raise NonNegativeRequiresPositiveMean(
             f"non-negative family needs mu > 0, got mu={p.mu}"
         )
+    if not math.isfinite(t):
+        raise InvalidThreshold(f"threshold must be finite, got {t}")
 
 
-def _check_budget(lam: float | None) -> None:
-    if lam is None:
-        return
+def _check_budget(lam: float) -> None:
     if not math.isfinite(lam) or lam <= 0.0:
         raise InvalidBudget(f"finite budget must be > 0, got {lam}")
 
@@ -123,29 +134,30 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
       ``mu - mu^2 t / (sigma^2 + mu^2)`` up to ``(sigma^2 + mu^2)/(2 mu)``,
       then the arbitrary-family value.
     """
-    _require_family(p, fam)
-    if not math.isfinite(t):
-        raise InvalidThreshold(f"threshold must be finite, got {t}")
+    _require_inputs(p, t, fam)
     mu, sg = p.mu, p.sigma
-    if fam is Family.ARBITRARY:
+    try:
+        if fam is Family.ARBITRARY:
+            val = 0.5 * (mu - t + math.hypot(sg, mu - t))
+            return WorstCaseValue(val, "all t")
+        if fam is Family.SYMMETRIC:
+            if t < mu - sg / 2.0:
+                val = (8.0 * (mu - t) ** 2 + sg * sg) / (8.0 * (mu - t))
+                return WorstCaseValue(val, "t < mu - sigma/2")
+            if t < mu + sg / 2.0:
+                return WorstCaseValue(0.5 * (mu + sg - t), "mu - sigma/2 <= t < mu + sigma/2")
+            return WorstCaseValue(sg * sg / (8.0 * (t - mu)), "t >= mu + sigma/2")
+        # non-negative support, mu > 0
+        if t < 0.0:
+            return WorstCaseValue(mu - t, "t < 0")
+        split = (sg * sg + mu * mu) / (2.0 * mu)
+        if t < split:
+            val = mu - mu * mu * t / (sg * sg + mu * mu)
+            return WorstCaseValue(val, "0 <= t < (sigma^2+mu^2)/(2 mu)")
         val = 0.5 * (mu - t + math.hypot(sg, mu - t))
-        return WorstCaseValue(val, "all t")
-    if fam is Family.SYMMETRIC:
-        if t < mu - sg / 2.0:
-            val = (8.0 * (mu - t) ** 2 + sg * sg) / (8.0 * (mu - t))
-            return WorstCaseValue(val, "t < mu - sigma/2")
-        if t < mu + sg / 2.0:
-            return WorstCaseValue(0.5 * (mu + sg - t), "mu - sigma/2 <= t < mu + sigma/2")
-        return WorstCaseValue(sg * sg / (8.0 * (t - mu)), "t >= mu + sigma/2")
-    # non-negative support, mu > 0
-    if t < 0.0:
-        return WorstCaseValue(mu - t, "t < 0")
-    split = (sg * sg + mu * mu) / (2.0 * mu)
-    if t < split:
-        val = mu - mu * mu * t / (sg * sg + mu * mu)
-        return WorstCaseValue(val, "0 <= t < (sigma^2+mu^2)/(2 mu)")
-    val = 0.5 * (mu - t + math.hypot(sg, mu - t))
-    return WorstCaseValue(val, "t >= (sigma^2+mu^2)/(2 mu)")
+        return WorstCaseValue(val, "t >= (sigma^2+mu^2)/(2 mu)")
+    except OverflowError:  # a ** 2 beyond the floats
+        raise _not_finite(p, t) from None
 
 
 def wc_target_semivariance(p: MomentProfile, t: float, fam: Family) -> WorstCaseValue:
@@ -156,18 +168,19 @@ def wc_target_semivariance(p: MomentProfile, t: float, fam: Family) -> WorstCase
     three-branch form ending at ``sigma^2 / 2`` once the threshold passes
     the mean.
     """
-    _require_family(p, fam)
-    if not math.isfinite(t):
-        raise InvalidThreshold(f"threshold must be finite, got {t}")
+    _require_inputs(p, t, fam)
     mu, sg = p.mu, p.sigma
-    if fam is Family.SYMMETRIC:
-        if t <= mu - sg:
-            return WorstCaseValue(sg * sg + (t - mu) ** 2, "t <= mu - sigma")
-        if t <= mu:
-            return WorstCaseValue(0.5 * (mu - t + sg) ** 2, "mu - sigma < t <= mu")
-        return WorstCaseValue(0.5 * sg * sg, "t > mu")
-    val = sg * sg + _pos_part(mu - t) ** 2
-    return WorstCaseValue(val, "t < mu" if t < mu else "t >= mu")
+    try:
+        if fam is Family.SYMMETRIC:
+            if t <= mu - sg:
+                return WorstCaseValue(sg * sg + (t - mu) ** 2, "t <= mu - sigma")
+            if t <= mu:
+                return WorstCaseValue(0.5 * (mu - t + sg) ** 2, "mu - sigma < t <= mu")
+            return WorstCaseValue(0.5 * sg * sg, "t > mu")
+        val = sg * sg + _pos_part(mu - t) ** 2
+        return WorstCaseValue(val, "t < mu" if t < mu else "t >= mu")
+    except OverflowError:  # a ** 2 beyond the floats
+        raise _not_finite(p, t) from None
 
 
 def set_nonempty(p: MomentProfile, t: float, lam: float | None, fam: Family) -> bool:
@@ -182,9 +195,7 @@ def set_nonempty(p: MomentProfile, t: float, lam: float | None, fam: Family) -> 
     ``X <= t`` into ``|X - mu| <= t - mu``), the arbitrary family nothing
     extra.
     """
-    _require_family(p, fam)
-    if not math.isfinite(t):
-        raise InvalidThreshold(f"threshold must be finite, got {t}")
+    _require_inputs(p, t, fam)
     if lam is None:
         return True
     _check_budget(lam)
@@ -196,7 +207,10 @@ def set_nonempty(p: MomentProfile, t: float, lam: float | None, fam: Family) -> 
     if fam is Family.ARBITRARY:
         return True
     if fam is Family.NON_NEGATIVE:
-        return p.sigma**2 <= p.mu * (t - p.mu)
+        try:
+            return p.sigma**2 <= p.mu * (t - p.mu)
+        except OverflowError:
+            raise _not_finite(p, t) from None
     return p.sigma <= t - p.mu
 
 
@@ -226,9 +240,7 @@ def wc_target_semivariance_constrained(
 
     Raises :class:`EmptyUncertaintySet` when the set has no member.
     """
-    _require_family(p, fam)
-    if not math.isfinite(t):
-        raise InvalidThreshold(f"threshold must be finite, got {t}")
+    _require_inputs(p, t, fam)
     if lam is None:
         return wc_target_semivariance(p, t, fam)
     _check_budget(lam)
@@ -238,40 +250,44 @@ def wc_target_semivariance_constrained(
         raise EmptyUncertaintySet(
             f"budget {lam} is below the attainable floor (mu-t)_- = {floor}"
         )
-    if not set_nonempty(p, t, lam, fam):
-        raise EmptyUncertaintySet(
-            f"no {fam.value} distribution with mu={mu}, sigma={sg} satisfies "
-            f"E[(X-t)_-] <= {lam} at t={t}"
-        )
     if lam == floor:
+        # above the floor every set has a member; on it the family decides
+        if not set_nonempty(p, t, lam, fam):
+            raise EmptyUncertaintySet(
+                f"no {fam.value} distribution with mu={mu}, sigma={sg} satisfies "
+                f"E[(X-t)_-] <= {lam} at t={t}"
+            )
         # Jensen equality pins X <= t a.s., so the upside is empty.  Exact
         # float equality on purpose: the supremum really jumps to 0 here,
         # and one ulp above the floor it takes the positive branch's value.
         return WorstCaseValue(0.0, "lambda == (mu-t)_-")
-    if fam is not Family.SYMMETRIC:
-        val = sg * sg + _pos_part(mu - t) ** 2
-        return WorstCaseValue(val, "lambda > (mu-t)_-")
+    try:
+        if fam is not Family.SYMMETRIC:
+            val = sg * sg + _pos_part(mu - t) ** 2
+            return WorstCaseValue(val, "lambda > (mu-t)_-")
 
-    m = lam + mu - t
-    if sg <= m:
-        case = "sigma<=m"
-    elif sg <= 2.0 * m:
-        case = "m<sigma<=2m"
-    else:
-        case = "sigma>2m"
-    if t > mu:
-        return WorstCaseValue(0.5 * sg * sg, f"{case}; t>mu")
-    s = mu - t
-    if sg <= s:
-        return WorstCaseValue(sg * sg + s * s, f"{case}; t<=mu-sigma")
-    if sg < 2.0 * m - s:
-        sub = "mu-sigma<t<=mu" if case == "sigma<=m" else "mu+sigma-2m<t<=mu"
-        return WorstCaseValue(0.5 * (s + sg) ** 2, f"{case}; {sub}")
-    # Budget binds: two-point mass at mu +/- sigma would need
-    # (sigma + s)/2 <= m, i.e. sigma < 2m - s, which just failed.
-    val = 0.5 * sg * sg + 2.0 * m * s - 0.5 * s * s
-    sub = "t<=mu+sigma-2m" if case == "m<sigma<=2m" else "t<=mu"
-    return WorstCaseValue(val, f"{case}; {sub}")
+        m = lam + mu - t
+        if sg <= m:
+            case = "sigma<=m"
+        elif sg <= 2.0 * m:
+            case = "m<sigma<=2m"
+        else:
+            case = "sigma>2m"
+        if t > mu:
+            return WorstCaseValue(0.5 * sg * sg, f"{case}; t>mu")
+        s = mu - t
+        if sg <= s:
+            return WorstCaseValue(sg * sg + s * s, f"{case}; t<=mu-sigma")
+        if sg < 2.0 * m - s:
+            sub = "mu-sigma<t<=mu" if case == "sigma<=m" else "mu+sigma-2m<t<=mu"
+            return WorstCaseValue(0.5 * (s + sg) ** 2, f"{case}; {sub}")
+        # Budget binds: two-point mass at mu +/- sigma would need
+        # (sigma + s)/2 <= m, i.e. sigma < 2m - s, which just failed.
+        val = 0.5 * sg * sg + 2.0 * m * s - 0.5 * s * s
+        sub = "t<=mu+sigma-2m" if case == "m<sigma<=2m" else "t<=mu"
+        return WorstCaseValue(val, f"{case}; {sub}")
+    except OverflowError:  # a ** 2 beyond the floats
+        raise _not_finite(p, t) from None
 
 
 def _symmetric_slope(p: MomentProfile, t: float, lam: float | None, dsigma: float) -> float:

@@ -120,6 +120,18 @@ class TestWc:
         assert res.exit_code == 2
         assert "finite" in res.output or "> 0" in res.output
 
+    @pytest.mark.parametrize("family,mu,sigma", [
+        ("symmetric", "0", "1e160"), ("arbitrary", "1e160", "1"), ("nonnegative", "1e300", "1"),
+    ])
+    def test_value_beyond_the_floats_is_an_error(self, runner, family, mu, sigma):
+        res = runner.invoke(
+            main,
+            ["wc", "--mu", mu, "--sigma", sigma, "--t", "0", "--measure", "tsv", "--family", family],
+        )
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: worst case") and "not finite" in res.output
+
 
 def read_rows(path):
     with open(path, newline="") as handle:

@@ -18,12 +18,13 @@ from wctsv import (
     wc_target_semivariance,
     wc_target_semivariance_constrained,
 )
-from wctsv.frontier import MarketModel
+from wctsv.frontier import KKT_TOL, MarketModel
 from wctsv.simplex import (
     SIGMA_FLOOR,
     STOP_MARGIN,
     _Chain,
     _critical_line,
+    _kkt_residual,
     _long_only_frontier,
     _segment_candidates,
     _tangent_profiles,
@@ -436,6 +437,57 @@ def test_tangent_bound_is_below_every_later_point(kind):
                         assert bound <= (1.0 + STOP_MARGIN) * later[i], (d, seed, t, lam, i)
                         checked += 1
     assert checked >= 1000
+
+
+# generic models whose GMV search must readmit an asset it dropped: without
+# that step the top of each chain fails the KKT check
+READMIT_MODELS = [(1487, 10), (2894, 13), (3815, 16), (4428, 8), (5912, 16), (5969, 10)]
+
+
+def gmv_models(kind):
+    if kind == "readmit":
+        return [random_model(seed, d) for seed, d in READMIT_MODELS]
+    models = []
+    for seed in range(4000, 4030):
+        rng, d = np.random.default_rng(seed), 2 + seed % 11
+        if kind == "vertex":  # asset 0 is the least risky and every other asset
+            # covaries with it more than it varies, so the GMV holds only asset 0
+            cov = np.full((d, d), 0.5) + 0.5 * np.eye(d)
+            cov[0, :] = cov[:, 0] = 0.2 + 0.01 * rng.uniform()
+            cov[0, 0] = 0.1
+        elif kind == "negative":  # one strong factor: shorting high-beta assets cuts variance
+            b = rng.uniform(0.5, 2.0, size=d)
+            cov = np.outer(b, b) + np.diag(rng.uniform(0.01, 0.05, size=d))
+        else:  # equal means: the frontier is a single point
+            cov = random_model(seed, d).cov
+        mu = np.full(d, 0.1) if kind == "equal" else rng.normal(size=d)
+        models.append(MarketModel(tuple(f"X{i}" for i in range(d)), mu, cov))
+    return models
+
+
+@pytest.mark.parametrize("kind", ["negative", "vertex", "equal", "readmit"])
+def test_chain_top_is_the_long_only_gmv(kind):
+    # the walk finds the long-only global minimum-variance portfolio itself:
+    # its top weights meet the simplex KKT conditions of min w^T cov w and
+    # no probe of the simplex has less variance
+    models = gmv_models(kind)
+    negative = 0
+    for i, m in enumerate(models):
+        d = m.dim
+        chain = _long_only_frontier(m)
+        top = chain[0]
+        w = np.maximum(top.weights(d, top.hi), 0.0)
+        assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert _kkt_residual(w, 2.0 * m.cov @ w) <= KKT_TOL
+        assert top.c == pytest.approx(float(w @ m.cov @ w), rel=1e-12)
+        assert top.c <= min(float(p @ m.cov @ p) for p in probes(d, n=200, seed=i)) + 1e-12
+        negative += bool((np.linalg.solve(m.cov, np.ones(d)) < 0.0).any())
+        if kind == "vertex":
+            assert w[0] == pytest.approx(1.0, abs=1e-12)
+        if kind == "equal":
+            assert len(chain) == 1 and top.lo == top.hi
+    if kind == "negative":
+        assert negative == len(models)
 
 
 def failing_chain(m, k):

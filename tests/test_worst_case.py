@@ -213,6 +213,39 @@ def test_non_finite_threshold_rejected(evaluate, t, fam):
         evaluate(profile(1.0, 1.0), t, fam)
 
 
+@pytest.mark.parametrize("huge", [1e160, 1e300])
+@pytest.mark.parametrize("fam", [ARB, SYM, NN])
+@pytest.mark.parametrize("measure", ["regret", "tsv", "tsv_constrained"])
+def test_value_beyond_the_floats_raises_invalid_profile(measure, fam, huge):
+    # where sigma^2 or (mu - t)^2 leaves the floats the closed form raises a
+    # domain error, never an OverflowError or an infinite or NaN value; the
+    # regret grows like sigma, so it stays finite where only sigma is huge
+    evaluate = {
+        "regret": wc_expected_regret,
+        "tsv": wc_target_semivariance,
+        "tsv_constrained": lambda p, t, fam: wc_target_semivariance_constrained(
+            p, t, max(t - p.mu, 0.0) + 1.0, fam
+        ),
+    }[measure]
+    for mu, sigma, t in ((huge, 1.0, 0.0), (1.0, huge, 0.0), (1.0, huge, 1.0), (1.0, 1.0, -huge)):
+        p = profile(mu, sigma)
+        if measure == "regret" and (fam is ARB or sigma == huge or (fam is NN and t < 0.0)):
+            assert math.isfinite(evaluate(p, t, fam).value)
+        else:
+            with pytest.raises(InvalidProfile, match="not finite"):
+                evaluate(p, t, fam)
+
+
+@pytest.mark.parametrize("huge", [1e160, 1e300])
+def test_huge_moments_in_the_membership_and_reflection_raise_invalid_profile(huge):
+    # exactly on the floor the non-negative membership test squares sigma
+    with pytest.raises(InvalidProfile):
+        set_nonempty(profile(1.0, huge), 2.0, 1.0, NN)
+    assert not set_nonempty(profile(1.0, 1e150), 2.0, 1.0, NN)
+    with pytest.raises(InvalidProfile):
+        reflect_complement_bounds(profile(0.0, huge), 0.0, SYM)
+
+
 def test_reflection_bounds_arbitrary():
     b = reflect_complement_bounds(profile(0, 1), 1.0, ARB)
     assert b.sup_minus2 == pytest.approx(2.0, abs=1e-12)
