@@ -5,6 +5,11 @@ window (strictly earlier losses only), solves every requested model, and
 compounds wealth multiplicatively from 1.  A model that raises on some day
 keeps its partial history and records the dated failure; the other models
 continue.  Nothing is skipped silently.
+
+A :class:`Day` holds one estimated model and builds its two frontiers on
+first read; :data:`RULES` maps each rule's name to its solver on a ``Day``
+and a :class:`BacktestConfig`.  The engine and ``wctsv optimize`` both solve
+through that table, so neither knows which rule reads which frontier.
 """
 
 from __future__ import annotations
@@ -12,11 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import TooFewRows, WctsvError
 from .frontier import (
+    FrontierParams,
+    MarketModel,
     classical_mv,
     frontier_params,
     m_tsv_s_portfolio,
@@ -27,6 +35,8 @@ from .simplex import _long_only_frontier, eep_tsv_portfolio, eep_tsv_s_portfolio
 
 __all__ = [
     "MODEL_ORDER",
+    "RULES",
+    "Day",
     "BacktestConfig",
     "ModelRun",
     "BacktestResult",
@@ -37,8 +47,51 @@ __all__ = [
     "parse_config_text",
 ]
 
-MODEL_ORDER = ("MV", "TSV", "M_TSV_S", "EEP_TSV", "EEP_TSV_S")
 TRADING_DAYS_PER_YEAR = 252
+
+
+class Day:
+    """One estimated model and its two frontiers, each built on first read.
+
+    ``fp`` is the short-selling frontier.  An error building it
+    (:class:`wctsv.DegenerateMeans` on equal means) is kept and raised
+    again to every later reader, so it is built at most once and every rule
+    that reads it fails alike.  ``chain`` is the lazily walked long-only
+    frontier; each rule walks it only as far as its own stop and reuses
+    what an earlier rule walked.
+    """
+
+    def __init__(self, model: MarketModel) -> None:
+        self.model = model
+        self._fp: FrontierParams | WctsvError | None = None
+
+    @property
+    def fp(self) -> FrontierParams:
+        if self._fp is None:
+            try:
+                self._fp = frontier_params(self.model)
+            except WctsvError as exc:
+                self._fp = exc
+        if isinstance(self._fp, WctsvError):
+            raise self._fp
+        return self._fp
+
+    @cached_property
+    def chain(self):
+        return _long_only_frontier(self.model)
+
+
+# Each rule's solver on a Day.  The frontiers are read in the argument lists,
+# so a frontier is built before the solver is entered, and the solvers are
+# looked up by name at call time.
+RULES = {
+    "MV": lambda day, cfg: classical_mv(day.fp, day.model, cfg.nu),
+    "TSV": lambda day, cfg: tsv_portfolio(day.fp, day.model, cfg.t),
+    "M_TSV_S": lambda day, cfg: m_tsv_s_portfolio(day.fp, day.model, cfg.nu, cfg.t),
+    "EEP_TSV": lambda day, cfg: eep_tsv_portfolio(day.model, cfg.t, cfg.lam, day.chain),
+    "EEP_TSV_S": lambda day, cfg: eep_tsv_s_portfolio(day.model, cfg.t, cfg.lam, day.chain),
+}
+MODEL_ORDER = tuple(RULES)
 
 
 @dataclass(frozen=True)
@@ -47,8 +100,8 @@ class BacktestConfig:
 
     ``ridge=None`` selects the estimator's automatic diagonal lift.  Every
     solver is exact and deterministic, so a run is a pure function of the
-    panel and the other fields; ``seed`` is still accepted but no solver
-    reads it.
+    panel and the other fields; ``seed`` is still accepted, as config files
+    and callers carry it, but nothing reads it.
     """
 
     window: int = 252
@@ -111,29 +164,18 @@ class BacktestResult:
         )
 
 
-def _solvers(cfg: BacktestConfig):
-    """Each model as ``solve(model, fp, chain)`` on the day's two frontiers."""
-    table = {
-        "MV": lambda model, fp, chain: classical_mv(fp, model, cfg.nu),
-        "TSV": lambda model, fp, chain: tsv_portfolio(fp, model, cfg.t),
-        "M_TSV_S": lambda model, fp, chain: m_tsv_s_portfolio(fp, model, cfg.nu, cfg.t),
-        "EEP_TSV": lambda model, fp, chain: eep_tsv_portfolio(model, cfg.t, cfg.lam, chain),
-        "EEP_TSV_S": lambda model, fp, chain: eep_tsv_s_portfolio(model, cfg.t, cfg.lam, chain),
-    }
-    return {name: table[name] for name in cfg.models}
-
-
 def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
     """Walk the panel day by day; see the module docstring for semantics.
 
     Day ``k`` of the out-of-sample range uses moments from the ``window``
     losses ending at ``k - 1``, then realizes return ``-w^T losses[k]``.
-    Each day builds the short-selling frontier once for MV, TSV and
-    M_TSV_S, and one lazily walked long-only frontier for EEP_TSV and
-    EEP_TSV_S, each only while a model that needs it is still running.
-    Each EEP rule walks that chain, after its own checks, only as far as
-    its own stop, and reuses what the other already walked; a walk that
-    fails fails every rule that reads past the failure, as it would alone.
+    Each day is one :class:`Day`, and each model still running is solved on
+    it by :data:`RULES`.  So the short-selling frontier is built at most once
+    a day, and the long-only one walked at most once, each only when a model
+    that reads it is still running.  Each EEP rule walks that chain, after
+    its own checks, only as far as its own stop, and reuses what the other
+    already walked; a walk that fails fails every rule that reads past the
+    failure, as it would alone.
     """
     n = panel.losses.shape[0]
     if n < cfg.window + 1:
@@ -142,8 +184,6 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
         )
     oos = range(cfg.window, n)
     oos_dates = tuple(panel.dates[k] for k in oos)
-    solvers = _solvers(cfg)
-    short_selling = {"MV", "TSV", "M_TSV_S"}
 
     histories: dict[str, dict] = {
         name: {"dates": [], "weights": [], "returns": [], "wealth": [1.0], "failure": None}
@@ -154,32 +194,22 @@ def run_backtest(panel: LossPanel, cfg: BacktestConfig) -> BacktestResult:
         alive = [name for name in cfg.models if histories[name]["failure"] is None]
         if not alive:
             break
-        day = panel.dates[k]
+        date = panel.dates[k]
         try:
-            model = estimate_moments(panel, cfg.window, k - 1, cfg.ridge)
+            today = Day(estimate_moments(panel, cfg.window, k - 1, cfg.ridge))
         except WctsvError as exc:
             for name in alive:
-                histories[name]["failure"] = (day, f"estimation failed: {exc}")
+                histories[name]["failure"] = (date, f"estimation failed: {exc}")
             break
-        fp = chain = None
-        if any(name in short_selling for name in alive):
-            try:
-                fp = frontier_params(model)
-            except WctsvError as exc:  # equal means: only the short-selling rules fail
-                for name in short_selling.intersection(alive):
-                    histories[name]["failure"] = (day, str(exc))
-                alive = [name for name in alive if name not in short_selling]
-        if any(name not in short_selling for name in alive):
-            chain = _long_only_frontier(model)
         for name in alive:
             hist = histories[name]
             try:
-                pf = solvers[name](model, fp, chain)
+                pf = RULES[name](today, cfg)
             except WctsvError as exc:
-                hist["failure"] = (day, str(exc))
+                hist["failure"] = (date, str(exc))
                 continue
             ret = -float(pf.weights @ panel.losses[k])
-            hist["dates"].append(day)
+            hist["dates"].append(date)
             hist["weights"].append(np.asarray(pf.weights, dtype=float))
             hist["returns"].append(ret)
             hist["wealth"].append(hist["wealth"][-1] * (1.0 + ret))

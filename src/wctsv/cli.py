@@ -8,7 +8,6 @@ budget, bad matrix), 2 usage or parse error.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import importlib.resources
 import json
 import math
@@ -20,7 +19,9 @@ import click
 
 from .backtest import (
     MODEL_ORDER,
+    RULES,
     BacktestConfig,
+    Day,
     parse_config_text,
     render_summary_json,
     render_wealth_csv,
@@ -28,16 +29,9 @@ from .backtest import (
     summarize,
 )
 from .errors import EmptyUncertaintySet, InfeasibleConstraints, WctsvError
-from .frontier import (
-    classical_mv,
-    frontier_params,
-    m_tsv_s_portfolio,
-    min_variance_portfolio,
-    tsv_portfolio,
-)
+from .frontier import frontier_params, min_variance_portfolio
 from .market_data import compute_losses, estimate_moments, load_price_panel
 from .oracle import brute_force_worst_case, witness_family  # noqa: F401 (perfbench patches it)
-from .simplex import eep_tsv_portfolio, eep_tsv_s_portfolio
 from .worst_case import (
     Family,
     MomentProfile,
@@ -73,10 +67,13 @@ BUDGET = _FiniteFloat(positive=True)
 # tolerances for the verify sweep, relative to sigma^2 + (t-mu)^2: the
 # closed form may exceed the oracle's lower value by the slack, and the lower
 # value may exceed the closed form, or the closed form the upper value, by
-# the overshoot tolerance
+# the overshoot tolerance.  The only members short of the supremum are the
+# limit-regime ones built at eps = WITNESS_EPS_LADDER[0] = 1e-12, short by at
+# most sqrt(eps) = 1e-6 of the scale (sqrt(eps / 2) for the symmetric
+# three-point member), so 1e-5 leaves a factor of ten for rounding.
 ORACLE_OVERSHOOT_TOL = 1e-6
-ORACLE_SLACK_UNCONSTRAINED = 5e-3
-ORACLE_SLACK_CONSTRAINED = 5e-2
+ORACLE_SLACK_UNCONSTRAINED = 1e-5
+ORACLE_SLACK_CONSTRAINED = 1e-5
 # the exact oracle spends no evaluation budget; --budget is still validated
 MIN_SEARCH_BUDGET = 10_000
 
@@ -356,17 +353,7 @@ def cmd_optimize(prices, model_name, t, lam, nu, window, ridge):
     """Solve one portfolio rule on trailing sample moments; print JSON."""
     try:
         _, model = _load_model(prices, window, ridge)
-        if model_name in ("EEP_TSV", "EEP_TSV_S"):
-            solver = eep_tsv_portfolio if model_name == "EEP_TSV" else eep_tsv_s_portfolio
-            port = solver(model, t, lam)
-        else:
-            fp = frontier_params(model)
-            if model_name == "MV":
-                port = classical_mv(fp, model, nu)
-            elif model_name == "TSV":
-                port = tsv_portfolio(fp, model, t)
-            else:
-                port = m_tsv_s_portfolio(fp, model, nu, t)
+        port = RULES[model_name](Day(model), BacktestConfig(t=t, lam=lam, nu=nu))
     except WctsvError as exc:
         _fail(str(exc))
     payload = {
@@ -389,10 +376,7 @@ def cmd_optimize(prices, model_name, t, lam, nu, window, ridge):
 )
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option(
-    "--seed", type=int, default=None, help="Override the config seed (no solver reads it)."
-)
-def cmd_backtest(prices, config_path, out_dir, seed):
+def cmd_backtest(prices, config_path, out_dir):
     """Run the rolling backtest; write wealth.csv and summary.json under --out."""
     if config_path is None:
         cfg = BacktestConfig()
@@ -401,10 +385,6 @@ def cmd_backtest(prices, config_path, out_dir, seed):
             cfg = parse_config_text(Path(config_path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise click.UsageError(str(exc)) from None
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if os.environ.get("WCTSV_SEED") is not None:
-        cfg = dataclasses.replace(cfg, seed=_resolve_seed(cfg.seed))
     try:
         if prices is None:
             sample = importlib.resources.files("wctsv") / "data" / "sample_prices.csv"

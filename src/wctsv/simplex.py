@@ -317,37 +317,31 @@ def eep_tsv_portfolio(
 
 
 def _certify_symmetric(
-    chain: Sequence[_Segment], w: np.ndarray, p: MomentProfile, f: float,
+    seg: _Segment, top: float, w: np.ndarray, p: MomentProfile, f: float,
     m: MarketModel, t: float, lam: float,
 ) -> None:
     """Raise :class:`NonConvergence` unless EEP_TSV_S's winner ``w`` (at
-    ``p``, value ``f``) passes an exact first-order optimality check.
+    ``p``, value ``f``, scored on ``seg``) passes an exact first-order
+    optimality check.
 
     Value 0 is a global minimum, since the objective is never negative.
-    Otherwise ``w`` must lie on the frontier: its segment is found by its
-    ``xi`` (to 1e-12 relative, as the chain's ends carry rounding) and the
-    KKT conditions of ``min w^T cov w + kappa mu^T w`` must hold at
-    ``kappa = -V'(xi)``.  Then no feasible direction moves ``sigma`` less
-    than the frontier does for the same change in ``xi``, so it remains
-    for :func:`wctsv.frontier._certify_slopes` to check the objective's
-    one-sided slopes along the chain, from ``xi = min mu`` to its top.
-    Only the chain's segments down to the winner's are read.
+    Otherwise the KKT conditions of ``min w^T cov w + kappa mu^T w`` must
+    hold at ``kappa = -V'(xi)`` on ``seg``.  Then no feasible direction
+    moves ``sigma`` less than the frontier does for the same change in
+    ``xi``, so it remains for :func:`wctsv.frontier._certify_slopes` to
+    check the objective's one-sided slopes along the chain, from
+    ``xi = min mu`` to its ``top``.
     """
     if f == 0.0:
         return
     mu = m.mu_vec
     bottom = float(mu.min())
-    spread = float(mu.max()) - bottom
     xi = p.mu
-    tol = 1e-12 * (spread + abs(xi))
-    seg = next((s for s in chain if s.lo - tol <= xi <= s.hi + tol), None)
-    if seg is None:
-        raise NonConvergence(f"winner at xi={xi} is off the long-only frontier")
     dv = 2.0 * seg.a * (xi - seg.hi) + seg.b
     residual = _kkt_residual(w, 2.0 * m.cov @ w - dv * mu)
     if residual > KKT_TOL:
         raise NonConvergence(f"frontier KKT residual {residual:.3e} above {KKT_TOL}")
-    _certify_slopes(seg, xi, f, t, lam, bottom, chain[0].hi, spread)
+    _certify_slopes(seg, xi, f, t, lam, bottom, top, float(mu.max()) - bottom)
 
 
 def _tangent_profiles(
@@ -389,7 +383,8 @@ def eep_tsv_s_portfolio(
     point of :func:`_tangent_profiles`, the exact lower bound on every later
     point, the vertices included, so none can win.
     :func:`_certify_symmetric` checks the winner's first-order optimality
-    exactly.
+    exactly on the segment it was scored on; a vertex is checked on the
+    last segment, which ends at ``min mu``.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
@@ -405,18 +400,18 @@ def eep_tsv_s_portfolio(
 
     best = None
 
-    def score(w: np.ndarray) -> MomentProfile:
+    def score(w: np.ndarray, seg: _Segment) -> MomentProfile:
         nonlocal best
         sigma = max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
         p = MomentProfile(float(w @ mu), sigma)
         r = value(p)
         if r is not None and (best is None or r.value < best[2].value):
-            best = (w, p, r)
+            best = (w, p, r, seg)
         return p
 
     for seg in chain:
         xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
-        profiles = [score(np.maximum(seg.weights(d, xi), 0.0)) for xi in xs]
+        profiles = [score(np.maximum(seg.weights(d, xi), 0.0), seg) for xi in xs]
         if best is not None:
             limit = best[2].value * (1.0 + STOP_MARGIN)
             sigma = profiles[1].sigma  # xs[1] is seg.lo
@@ -425,13 +420,13 @@ def eep_tsv_s_portfolio(
                 break
     else:
         for w in np.eye(d)[mu == bottom]:
-            score(w)
+            score(w, seg)  # the walk has ended: seg is the last, down to min mu
     if best is None:
         raise EmptyUncertaintySet(
             f"no simplex portfolio has a non-empty symmetric set at t={t}, lambda={lam}"
         )
-    w, p, r = best
-    _certify_symmetric(chain, w, p, r.value, m, t, lam)
+    w, p, r, seg = best
+    _certify_symmetric(seg, chain[0].hi, w, p, r.value, m, t, lam)
     return Portfolio(
         weights=w,
         expected_loss=p.mu,

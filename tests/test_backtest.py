@@ -271,6 +271,76 @@ def test_bundled_long_only_walk_makes_about_two_solves_a_day(monkeypatch):
     assert calls.count("wctsv.simplex") <= 2.1 * len(res.oos_dates)
 
 
+SOLVERS = (
+    "classical_mv", "tsv_portfolio", "m_tsv_s_portfolio", "eep_tsv_portfolio",
+    "eep_tsv_s_portfolio",
+)
+PATCHED = ("frontier_params", "_long_only_frontier") + SOLVERS
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count calls to the frontier builders and solvers the benchmark harness
+    patches by name on ``wctsv.backtest``; a frontier built while a solver
+    runs fails the test, as the harness times each solver's call whole."""
+    calls, inside = {}, []
+
+    def counting(name):
+        fn = getattr(wctsv.backtest, name)
+
+        def wrapper(*args, **kwargs):
+            if name not in SOLVERS:
+                assert not inside, f"{name} called inside {inside}"
+            calls[name] = calls.get(name, 0) + 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(wctsv.backtest, name, wrapper)
+
+    for name in PATCHED:
+        counting(name)
+    return calls
+
+
+def bundled_losses():
+    sample = importlib.resources.files("wctsv") / "data" / "sample_prices.csv"
+    with importlib.resources.as_file(sample) as path:
+        return compute_losses(load_price_panel(path))
+
+
+class TestBenchmarkCaptureContract:
+    def test_each_frontier_and_solver_once_a_day(self, counted):
+        res = run_backtest(bundled_losses(), BacktestConfig())
+        assert res.failures == ()
+        days = len(res.oos_dates)
+        assert counted == {name: days for name in PATCHED}
+
+    @pytest.mark.parametrize(
+        "models, unused",
+        [(("MV", "TSV", "M_TSV_S"), "_long_only_frontier"), (("EEP_TSV",), "frontier_params")],
+    )
+    def test_a_frontier_no_model_reads_is_not_built(self, counted, models, unused):
+        res = run_backtest(bundled_losses(), BacktestConfig(models=models))
+        assert res.failures == ()
+        assert unused not in counted
+        assert set(counted.values()) == {len(res.oos_dates)}
+
+    def test_equal_means_build_the_frontier_once_and_enter_no_short_selling_solver(
+        self, counted
+    ):
+        dev = np.array([0.01, -0.01, 0.02, -0.02, 0.015, -0.015])
+        panel = loss_panel(np.vstack([np.column_stack([dev, dev[::-1]]), [[0.01, -0.03]]]))
+        res = run_backtest(panel, BacktestConfig(window=6, ridge=1e-8))
+        assert {name for name, _, _ in res.failures} == {"MV", "TSV", "M_TSV_S"}
+        assert counted == {
+            "frontier_params": 1, "_long_only_frontier": 1,
+            "eep_tsv_portfolio": 1, "eep_tsv_s_portfolio": 1,
+        }
+
+
 def run_of(returns, wealth, model="MV", failure=None):
     returns = np.asarray(returns, dtype=float)
     wealth = np.asarray(wealth, dtype=float)

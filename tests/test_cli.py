@@ -7,9 +7,12 @@ import pytest
 from click.testing import CliRunner
 
 import wctsv.cli
+from wctsv import DegenerateMeans
+from wctsv.backtest import MODEL_ORDER
 from wctsv.cli import main
-from wctsv.frontier import classical_mv, frontier_params
+from wctsv.frontier import classical_mv, frontier_params, m_tsv_s_portfolio, tsv_portfolio
 from wctsv.market_data import compute_losses, estimate_moments, load_price_panel
+from wctsv.simplex import eep_tsv_portfolio, eep_tsv_s_portfolio
 from wctsv.worst_case import (
     Family,
     MomentProfile,
@@ -303,6 +306,48 @@ class TestOptimizeCmd:
         assert list(payload["weights"].values()) == want.weights.tolist()
         assert payload["objective"] == want.objective
         assert payload["regime"] == want.regime
+
+    @pytest.mark.parametrize("name", MODEL_ORDER)
+    def test_every_rule_matches_its_solver(self, runner, toy_prices, name):
+        t, lam, nu = -0.002, 0.01, 0.0005
+        res = runner.invoke(
+            main,
+            ["optimize", "--prices", str(toy_prices), "--model", name,
+             "--t", repr(t), "--lambda", repr(lam), "--nu", repr(nu)],
+        )
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        losses = compute_losses(load_price_panel(toy_prices))
+        n = losses.losses.shape[0]
+        model = estimate_moments(losses, n, n - 1)
+        solve = {
+            "MV": lambda: classical_mv(frontier_params(model), model, nu),
+            "TSV": lambda: tsv_portfolio(frontier_params(model), model, t),
+            "M_TSV_S": lambda: m_tsv_s_portfolio(frontier_params(model), model, nu, t),
+            "EEP_TSV": lambda: eep_tsv_portfolio(model, t, lam),
+            "EEP_TSV_S": lambda: eep_tsv_s_portfolio(model, t, lam),
+        }
+        want = solve[name]()
+        assert payload["model"] == name
+        assert list(payload["weights"]) == list(model.assets)
+        assert list(payload["weights"].values()) == want.weights.tolist()
+        assert payload["objective"] == want.objective
+        assert payload["regime"] == want.regime
+
+    def test_equal_means_fail_only_the_short_selling_rules(self, runner, tmp_path):
+        # constant prices: every mean is 0, so the short-selling frontier does
+        # not exist, while the long-only rules still answer
+        prices = write_prices(tmp_path / "flat.csv", np.zeros((12, 2)))
+        losses = compute_losses(load_price_panel(prices))
+        with pytest.raises(DegenerateMeans) as exc:
+            frontier_params(estimate_moments(losses, 12, 11, ridge=1e-8))
+        base = ["optimize", "--prices", str(prices), "--ridge", "1e-8", "--model"]
+        res = runner.invoke(main, base + ["MV"])
+        assert res.exit_code == 1
+        assert str(exc.value) in res.output
+        res = runner.invoke(main, base + ["EEP_TSV"])
+        assert res.exit_code == 0, res.output
+        assert list(json.loads(res.output)["weights"].values()) == [0.5, 0.5]
 
     def test_infeasible_budget_exits_one(self, runner, toy_prices):
         res = runner.invoke(
