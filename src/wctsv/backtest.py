@@ -57,8 +57,10 @@ class Day:
     (:class:`wctsv.DegenerateMeans` on equal means) is kept and raised
     again to every later reader, so it is built at most once and every rule
     that reads it fails alike.  ``chain`` is the lazily walked long-only
-    frontier; each rule walks it only as far as its own stop and reuses
-    what an earlier rule walked.
+    frontier, started from ``fp``'s segment (from ``kappa = 0`` when ``fp``
+    failed), so an EEP answer is the one a solver gives on the model alone;
+    each rule walks it only as far as its own stop and reuses what an
+    earlier rule walked.
     """
 
     def __init__(self, model: MarketModel) -> None:
@@ -78,7 +80,11 @@ class Day:
 
     @cached_property
     def chain(self):
-        return _long_only_frontier(self.model)
+        try:
+            top = self.fp.segment
+        except WctsvError:
+            top = None
+        return _long_only_frontier(self.model, top)
 
 
 # Each rule's solver on a Day.  The frontiers are read in the argument lists,

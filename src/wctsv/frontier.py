@@ -5,7 +5,9 @@ the variance ``V`` along a minimum-variance frontier, and both frontiers
 are chains of :class:`_Segment`: weights affine in ``xi`` and ``V``
 quadratic in vertex-centred form.  With short selling the frontier is the
 two-fund parabola, a single segment unbounded below (Merton 1972);
-long-only it is the chain walked by :func:`wctsv.simplex._long_only_frontier`.
+long-only it is the chain walked by :func:`wctsv.simplex._long_only_frontier`,
+which starts from that segment and shares its first piece when the global
+minimum-variance portfolio holds every asset.
 Two exact minimizers serve all five rules.  TSV and EEP_TSV keep the sign
 rule :func:`_tsv_minimizer` (the sign of ``f'`` for
 ``f = V + (xi - t)_+^2``, exact by convexity).  The two symmetric rules,

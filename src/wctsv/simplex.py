@@ -12,8 +12,11 @@ so every simplex portfolio meets the budget and the frontier needs no
 
 Markowitz's critical-line algorithm builds that half exactly as a chain of
 :class:`wctsv.frontier._Segment`, the type that also holds the
-short-selling frontier, and finds its top, the long-only global
-minimum-variance portfolio, by active-set steps on its own first KKT
+short-selling frontier, and starts from that frontier's segment: when the
+unconstrained global minimum-variance portfolio is long-only, Merton's
+two-fund segment, cut at its first corner, is the chain's first segment
+and costs no solve; otherwise the walk finds the long-only global
+minimum-variance portfolio by active-set steps on its own first KKT
 solves, so no separate QP runs.  Both solvers use the exact minimizers the
 short-selling rules use: EEP_TSV the sign rule of
 :func:`wctsv.frontier._tsv_minimizer`, like TSV; EEP_TSV_S the first
@@ -39,11 +42,12 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    EmptyUncertaintySet, InfeasibleBudget, InvalidBudget, InvalidThreshold, NonConvergence
+    DegenerateMeans, EmptyUncertaintySet, InfeasibleBudget, InvalidBudget, InvalidThreshold,
+    NonConvergence,
 )
 from .frontier import (
     KKT_TOL, SIGMA_FLOOR, MarketModel, Portfolio, _certify_slopes, _Segment, _segment_candidates,
-    _tsv_minimizer,
+    _tsv_minimizer, frontier_params,
 )
 from .worst_case import Family, MomentProfile, wc_target_semivariance_constrained
 
@@ -152,7 +156,15 @@ class _Chain(Sequence):
         return len(self._segments)
 
 
-def _critical_line(m: MarketModel) -> Iterator[_Segment]:
+def _short_selling_top(m: MarketModel) -> _Segment | None:
+    """The short-selling frontier's segment, or None on equal means."""
+    try:
+        return frontier_params(m).segment
+    except DegenerateMeans:
+        return None
+
+
+def _critical_line(m: MarketModel, top: _Segment | None) -> Iterator[_Segment]:
     """The segments of :func:`_long_only_frontier`, one corner at a time."""
     mu, cov = m.mu_vec, m.cov
     d = m.dim
@@ -160,6 +172,21 @@ def _critical_line(m: MarketModel) -> Iterator[_Segment]:
     kappa, last = 0.0, -1
     gmv = None  # the kappa = 0 system on which the active-set search settled
     walked = False
+    if top is not None and top.p.min() > ACTIVE_TOL:
+        # the GMV is interior: the short-selling frontier runs long-only down to
+        # the first weight that falls to 0, the first index winning ties
+        rising = np.flatnonzero(top.q > 0.0)
+        cut = -top.p[rising] / top.q[rising]
+        j = int(np.argmax(cut))
+        lo = top.hi + float(cut[j])
+        if lo < top.hi:  # else the walk from kappa = 0 finds the same GMV
+            yield top._replace(lo=lo)
+            walked = True
+            # kappa = -V'(xi) and V' = 2 v0 (xi - hi) on the parabola
+            kappa, last = -2.0 * top.a * float(cut[j]), int(rising[j])
+            free[last] = False
+    elif top is not None and top.p.min() < -ACTIVE_TOL:
+        free[int(np.argmin(top.p))] = False  # the kappa = 0 search's first step
     for _ in range(7 * d + 10):
         f = np.flatnonzero(free)
         out = np.flatnonzero(~free)
@@ -185,7 +212,7 @@ def _critical_line(m: MarketModel) -> Iterator[_Segment]:
         w0, w1 = sol[:n, 0], sol[:n, 1]
         cross = 2.0 * cov[out[:, None], f]
         level = np.concatenate([w0, cross @ w0 - sol[n, 0]])
-        if gmv is None:
+        if gmv is None and not walked:
             # kappa = 0: primal active-set search for the long-only GMV; drop the
             # most negative weight, else readmit the most negative multiplier
             if w0.min() < -ACTIVE_TOL:
@@ -216,7 +243,8 @@ def _critical_line(m: MarketModel) -> Iterator[_Segment]:
         free[asset] = not free[asset]
         kappa, last = corner, asset
     else:
-        raise NonConvergence(f"critical line did not {'reach min mu' if gmv else 'find the GMV'}")
+        found = gmv or walked
+        raise NonConvergence(f"critical line did not {'reach min mu' if found else 'find the GMV'}")
     if not walked:
         # a one-column solve, as the GMV's weights round differently in a two-column one
         f, kkt, e = gmv
@@ -227,7 +255,7 @@ def _critical_line(m: MarketModel) -> Iterator[_Segment]:
         yield _Segment(f, w[f], np.zeros(f.size), xi, xi, 0.0, 0.0, float(w @ cov @ w))
 
 
-def _long_only_frontier(m: MarketModel) -> _Chain:
+def _long_only_frontier(m: MarketModel, top: _Segment | None) -> _Chain:
     """Lower half of the long-only minimum-variance frontier, walked lazily.
 
     Critical-line walk of ``min w^T cov w + kappa mu^T w`` over the simplex
@@ -242,18 +270,27 @@ def _long_only_frontier(m: MarketModel) -> _Chain:
     re-expressed in ``xi``; along it ``V'(xi) = -kappa``.  A frontier that
     is a single point comes back as one segment with ``lo == hi``.
 
-    The walk starts with every asset free.  While ``kappa = 0`` it looks for
-    the long-only global minimum-variance portfolio by primal active-set
-    steps on its own solve: the most negative weight below ``-ACTIVE_TOL``
-    leaves ``F``, else the most negative multiplier below ``-ACTIVE_TOL``
-    rejoins it; once neither happens, weights ``<= 0`` leave and that
-    solve is the first corner's.
+    The walk starts from ``top``, the short-selling frontier's segment
+    (:attr:`wctsv.frontier.FrontierParams.segment`, or None on equal means;
+    :func:`_short_selling_top` builds it).  When every weight of its global minimum-variance portfolio
+    exceeds ``ACTIVE_TOL``, that portfolio is the long-only one and the
+    first segment is ``top`` cut where its first weight falls to 0 (Merton's
+    two-fund segment starts Markowitz's critical line), so the walk solves
+    nothing until that corner.  Otherwise it starts with every asset free,
+    less ``top``'s most negative weight if one is below ``-ACTIVE_TOL``, and
+    while ``kappa = 0`` looks for the long-only global minimum-variance
+    portfolio by primal active-set steps on its own solve: the most negative
+    weight below ``-ACTIVE_TOL`` leaves ``F``, else the most negative
+    multiplier below ``-ACTIVE_TOL`` rejoins it; once neither happens,
+    weights ``<= 0`` leave and that solve is the first corner's.
+    ``top=None`` walks from ``kappa = 0`` with every asset free.
 
     Nothing runs until the chain is read: the first read makes the kappa = 0
-    solves, then each read one corner per segment, so each reader walks only
-    as far as it stops and a second reader reuses what the first walked.
+    solves it needs, then each read walks one corner per
+    segment, so each reader walks only as far as it stops and a second
+    reader reuses what the first walked.
     """
-    return _Chain(_critical_line(m))
+    return _Chain(_critical_line(m, top))
 
 
 def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
@@ -297,7 +334,7 @@ def eep_tsv_portfolio(
             regime="lambda == (xi-t)_-",
         )
 
-    chain = frontier if frontier is not None else _long_only_frontier(m)
+    chain = frontier if frontier is not None else _long_only_frontier(m, _short_selling_top(m))
     seg, root = _tsv_minimizer(chain, t)
     w = np.maximum(seg.weights(m.dim, root), 0.0)
 
@@ -390,7 +427,7 @@ def eep_tsv_s_portfolio(
     mu, cov = m.mu_vec, m.cov
     d = m.dim
     bottom = float(mu.min())
-    chain = frontier if frontier is not None else _long_only_frontier(m)
+    chain = frontier if frontier is not None else _long_only_frontier(m, _short_selling_top(m))
 
     def value(p: MomentProfile):
         try:

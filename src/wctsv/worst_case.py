@@ -133,31 +133,44 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
     * non-negative (mu > 0): ``mu - t`` for negative thresholds,
       ``mu - mu^2 t / (sigma^2 + mu^2)`` up to ``(sigma^2 + mu^2)/(2 mu)``,
       then the arbitrary-family value.
+
+    Where a square or a product in one of these forms leaves the floats, the
+    same quantity is evaluated rescaled, so a finite supremum is returned
+    even then; elsewhere the forms are evaluated as written.
     """
     _require_inputs(p, t, fam)
     mu, sg = p.mu, p.sigma
-    try:
-        if fam is Family.ARBITRARY:
-            val = 0.5 * (mu - t + math.hypot(sg, mu - t))
-            return WorstCaseValue(val, "all t")
-        if fam is Family.SYMMETRIC:
-            if t < mu - sg / 2.0:
-                val = (8.0 * (mu - t) ** 2 + sg * sg) / (8.0 * (mu - t))
-                return WorstCaseValue(val, "t < mu - sigma/2")
-            if t < mu + sg / 2.0:
-                return WorstCaseValue(0.5 * (mu + sg - t), "mu - sigma/2 <= t < mu + sigma/2")
-            return WorstCaseValue(sg * sg / (8.0 * (t - mu)), "t >= mu + sigma/2")
-        # non-negative support, mu > 0
-        if t < 0.0:
-            return WorstCaseValue(mu - t, "t < 0")
-        split = (sg * sg + mu * mu) / (2.0 * mu)
-        if t < split:
-            val = mu - mu * mu * t / (sg * sg + mu * mu)
-            return WorstCaseValue(val, "0 <= t < (sigma^2+mu^2)/(2 mu)")
+    if fam is Family.ARBITRARY:
         val = 0.5 * (mu - t + math.hypot(sg, mu - t))
-        return WorstCaseValue(val, "t >= (sigma^2+mu^2)/(2 mu)")
-    except OverflowError:  # a ** 2 beyond the floats
-        raise _not_finite(p, t) from None
+        return WorstCaseValue(val, "all t")
+    if fam is Family.SYMMETRIC:
+        if t < mu - sg / 2.0:
+            s = mu - t
+            try:
+                val = (8.0 * s ** 2 + sg * sg) / (8.0 * s)
+            except OverflowError:
+                val = math.inf
+            if not math.isfinite(val):
+                val = s + sg / 8.0 * (sg / s)
+            return WorstCaseValue(val, "t < mu - sigma/2")
+        if t < mu + sg / 2.0:
+            return WorstCaseValue(0.5 * (mu + sg - t), "mu - sigma/2 <= t < mu + sigma/2")
+        if t == mu:  # sigma/2 is below mu's rounding: t is mid-band, not past it
+            return WorstCaseValue(0.5 * sg, "mu - sigma/2 <= t < mu + sigma/2")
+        sq, d = sg * sg, 8.0 * (t - mu)
+        val = sq / d if max(sq, d) < math.inf else sg / 16.0 * (sg / (0.5 * t - 0.5 * mu))
+        return WorstCaseValue(val, "t >= mu + sigma/2")
+    # non-negative support, mu > 0
+    if t < 0.0:
+        return WorstCaseValue(mu - t, "t < 0")
+    sq = sg * sg + mu * mu
+    split = sq / (2.0 * mu) if sq < math.inf else 0.5 * mu + 0.5 * sg * (sg / mu)
+    if t < split:
+        num = mu * mu * t
+        val = mu - num / sq if max(num, sq) < math.inf else mu - t / (1.0 + (sg / mu) * (sg / mu))
+        return WorstCaseValue(val, "0 <= t < (sigma^2+mu^2)/(2 mu)")
+    val = 0.5 * (mu - t + math.hypot(sg, mu - t))
+    return WorstCaseValue(val, "t >= (sigma^2+mu^2)/(2 mu)")
 
 
 def wc_target_semivariance(p: MomentProfile, t: float, fam: Family) -> WorstCaseValue:

@@ -23,7 +23,7 @@ from wctsv.backtest import (
 )
 from wctsv.frontier import classical_mv, frontier_params
 from wctsv.market_data import LossPanel, compute_losses, estimate_moments, load_price_panel
-from wctsv.simplex import _Chain, _critical_line, _long_only_frontier
+from wctsv.simplex import _Chain, _critical_line, _long_only_frontier, _short_selling_top
 
 
 def loss_panel(losses):
@@ -211,9 +211,9 @@ class TestRunBacktest:
         # with k=None both rules stop before the walk's end on every day
         for k, failed in ((0, both), (2, both), (3, {"EEP_TSV_S"}), (None, set())):
 
-            def failing(model, k=k):
+            def failing(model, top, k=k):
                 def walk():
-                    yield from itertools.islice(_critical_line(model), k)
+                    yield from itertools.islice(_critical_line(model, top), k)
                     raise NonConvergence("walk failed")
 
                 return _Chain(walk())
@@ -240,22 +240,23 @@ def test_bundled_eep_solves_walk_about_half_the_frontier(monkeypatch):
         losses = compute_losses(load_price_panel(path))
     chains = []
 
-    def record(model):
-        chains.append((model, _long_only_frontier(model)))
+    def record(model, top):
+        chains.append((model, _long_only_frontier(model, top)))
         return chains[-1][1]
 
     monkeypatch.setattr(wctsv.backtest, "_long_only_frontier", record)
     res = run_backtest(losses, BacktestConfig())
     assert res.failures == () and len(chains) == len(res.oos_dates)
     built = sum(chain.built for _, chain in chains)
-    full = sum(len(_long_only_frontier(model)) for model, _ in chains)
+    full = sum(len(_long_only_frontier(model, _short_selling_top(model))) for model, _ in chains)
     assert built <= 0.2 * full
 
 
-def test_bundled_long_only_walk_makes_about_two_solves_a_day(monkeypatch):
-    # the walk finds the long-only GMV with its own first KKT solve: on the
-    # bundled panel at the defaults it makes 2.01 solves a day (3.01 when a
-    # separate QP found the GMV first)
+def test_bundled_long_only_walk_makes_about_one_solve_a_day(monkeypatch):
+    # the walk starts from the short-selling frontier, whose first segment it
+    # shares when the unconstrained GMV is interior (52 of 77 days): on the
+    # bundled panel at the defaults it makes 1.01 solves a day (2.01 from
+    # kappa = 0, 3.01 when a separate QP found the GMV first)
     sample = importlib.resources.files("wctsv") / "data" / "sample_prices.csv"
     with importlib.resources.as_file(sample) as path:
         losses = compute_losses(load_price_panel(path))
@@ -268,7 +269,7 @@ def test_bundled_long_only_walk_makes_about_two_solves_a_day(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting)
     res = run_backtest(losses, BacktestConfig())
     assert res.failures == ()
-    assert calls.count("wctsv.simplex") <= 2.1 * len(res.oos_dates)
+    assert calls.count("wctsv.simplex") <= 1.1 * len(res.oos_dates)
 
 
 SOLVERS = (
@@ -319,13 +320,18 @@ class TestBenchmarkCaptureContract:
         assert counted == {name: days for name in PATCHED}
 
     @pytest.mark.parametrize(
-        "models, unused",
-        [(("MV", "TSV", "M_TSV_S"), "_long_only_frontier"), (("EEP_TSV",), "frontier_params")],
+        "models, built",
+        [
+            (("MV", "TSV", "M_TSV_S"), {"frontier_params"}),
+            # the long-only walk starts from the short-selling frontier, which
+            # is built once a day before the solver is entered
+            (("EEP_TSV",), {"frontier_params", "_long_only_frontier"}),
+        ],
     )
-    def test_a_frontier_no_model_reads_is_not_built(self, counted, models, unused):
+    def test_a_frontier_no_model_reads_is_not_built(self, counted, models, built):
         res = run_backtest(bundled_losses(), BacktestConfig(models=models))
         assert res.failures == ()
-        assert unused not in counted
+        assert set(counted) - set(SOLVERS) == built
         assert set(counted.values()) == {len(res.oos_dates)}
 
     def test_equal_means_build_the_frontier_once_and_enter_no_short_selling_solver(

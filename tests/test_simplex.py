@@ -15,11 +15,13 @@ from wctsv import (
     InvalidThreshold,
     MomentProfile,
     NonConvergence,
+    WctsvError,
     wc_target_semivariance,
     wc_target_semivariance_constrained,
 )
 from wctsv.frontier import KKT_TOL, MarketModel
 from wctsv.simplex import (
+    ACTIVE_TOL,
     SIGMA_FLOOR,
     STOP_MARGIN,
     _Chain,
@@ -27,6 +29,7 @@ from wctsv.simplex import (
     _kkt_residual,
     _long_only_frontier,
     _segment_candidates,
+    _short_selling_top,
     _tangent_profiles,
     check_regret_feasibility,
     eep_tsv_portfolio,
@@ -257,7 +260,7 @@ def test_certificate_rejects_ends_only_candidates(monkeypatch):
     interior = []
     for seed in range(12):
         m = random_model(seed, d=2 + seed % 5)
-        chain = _long_only_frontier(m)
+        chain = _long_only_frontier(m, _short_selling_top(m))
         ends = [x for s in chain for x in (s.lo, s.hi)]
         for t in (-0.5, 0.0, 0.3):
             lam = max(t - float(m.mu_vec.min()), 0.0) + 0.5
@@ -283,7 +286,7 @@ def test_certificate_rejects_weights_off_the_frontier(seed):
     lam = max(t - float(m.mu_vec.min()), 0.0) + 0.8
     rng = np.random.default_rng(0)
     bent = []
-    for s in _long_only_frontier(m):
+    for s in _long_only_frontier(m, _short_selling_top(m)):
         if s.free.size >= 3:
             basis = np.column_stack([np.ones(s.free.size), m.mu_vec[s.free]])
             v = rng.normal(size=s.free.size)
@@ -331,7 +334,7 @@ def first_smallest(m, t, lam, chain):
 
 def candidate_minimum(m, t, lam):
     """The smallest closed-form value over the exact candidates and every vertex."""
-    _, value, _ = first_smallest(m, t, lam, _long_only_frontier(m))
+    _, value, _ = first_smallest(m, t, lam, _long_only_frontier(m, _short_selling_top(m)))
     return min(value, *(h_sym(m, t, lam, w) for w in np.eye(m.dim)))
 
 
@@ -356,8 +359,8 @@ def test_certificate_accepts_steep_tied_and_daily_frontiers(kind, seed, d):
             assert pf.objective == candidate_minimum(m, t, lam)
 
 
-# the chain's low end is one ulp below min mu = -0.7; with seed 3 at
-# lam = 0.25 the vertex e_B itself wins, at lam = 2.5 the chain's end
+# the kappa = 0 walk's low end is one ulp below min mu = -0.7; with seed 3
+# at lam = 0.25 the vertex e_B itself wins, at lam = 2.5 the chain's end
 @pytest.mark.parametrize("seed,lam,objective", [
     (35, 0.25, 1.1498159957598915), (35, 2.5, 1.1498159957598915),
     (3, 0.25, 0.7835844856380455), (3, 2.5, 0.8431595303511327),
@@ -366,8 +369,9 @@ def test_two_asset_chain_end_one_ulp_below_min_mu(seed, lam, objective):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2, 2))
     m = MarketModel(("A", "B"), np.array([0.0, -0.7]), a @ a.T + 0.5 * np.eye(2))
-    assert _long_only_frontier(m)[-1].lo == -0.7000000000000001
-    assert eep_tsv_s_portfolio(m, -1.0, lam).objective == objective
+    chain = _long_only_frontier(m, None)
+    assert chain[-1].lo == -0.7000000000000001
+    assert eep_tsv_s_portfolio(m, -1.0, lam, chain).objective == objective
 
 
 @pytest.mark.parametrize("kind", ["normal", "daily", "steep", "tied"])
@@ -377,13 +381,13 @@ def test_early_stop_matches_the_full_walk(kind):
     short = total = 0
     for d, seed in itertools.product(range(2, 13), (3000, 3100)):
         m = random_model(seed, d) if kind == "normal" else grid_model(kind, seed, d)
-        full = list(_long_only_frontier(m))
+        full = list(_long_only_frontier(m, _short_selling_top(m)))
         lo, hi = float(m.mu_vec.min()), float(m.mu_vec.max())
         scale = math.sqrt(float(np.mean(np.diag(m.cov))))
         for t in (lo - 2.0 * scale, lo, 0.5 * (lo + hi), hi, hi + 2.0 * scale):
             for extra in (0.01, 0.1, 1.0, 10.0):
                 lam = max(t - lo, 0.0) + extra * scale
-                chain = _long_only_frontier(m)
+                chain = _long_only_frontier(m, _short_selling_top(m))
                 pf = eep_tsv_s_portfolio(m, t, lam, chain)
                 w, value, regime = first_smallest(m, t, lam, full)
                 assert pf.weights.tobytes() == w.tobytes()
@@ -391,7 +395,7 @@ def test_early_stop_matches_the_full_walk(kind):
                 short += chain.built < len(full)
                 total += 1
 
-                chain = _long_only_frontier(m)
+                chain = _long_only_frontier(m, _short_selling_top(m))
                 pf = eep_tsv_portfolio(m, t, lam, chain)
                 ref = eep_tsv_portfolio(m, t, lam, full)
                 assert pf.weights.tobytes() == ref.weights.tobytes()
@@ -407,7 +411,7 @@ def test_tangent_bound_is_below_every_later_point(kind):
     checked = 0
     for d, seed in itertools.product(range(2, 13), (3000, 3100)):
         m = random_model(seed, d) if kind == "normal" else grid_model(kind, seed, d)
-        chain = list(_long_only_frontier(m))
+        chain = list(_long_only_frontier(m, _short_selling_top(m)))
         lo, hi = float(m.mu_vec.min()), float(m.mu_vec.max())
         scale = math.sqrt(float(np.mean(np.diag(m.cov))))
         for t in (lo - 2.0 * scale, lo, 0.5 * (lo + hi), hi, hi + 2.0 * scale):
@@ -474,7 +478,7 @@ def test_chain_top_is_the_long_only_gmv(kind):
     negative = 0
     for i, m in enumerate(models):
         d = m.dim
-        chain = _long_only_frontier(m)
+        chain = _long_only_frontier(m, _short_selling_top(m))
         top = chain[0]
         w = np.maximum(top.weights(d, top.hi), 0.0)
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -493,7 +497,7 @@ def test_chain_top_is_the_long_only_gmv(kind):
 def failing_chain(m, k):
     """The chain of ``m`` with a walk that raises after ``k`` segments."""
     def walk():
-        yield from itertools.islice(_critical_line(m), k)
+        yield from itertools.islice(_critical_line(m, _short_selling_top(m)), k)
         raise NonConvergence("walk failed")
 
     return _Chain(walk())
@@ -501,9 +505,9 @@ def failing_chain(m, k):
 
 def test_chain_is_lazy_and_memoised():
     m = random_model(7, d=8)
-    full = list(_long_only_frontier(m))
+    full = list(_long_only_frontier(m, _short_selling_top(m)))
     assert len(full) >= 3
-    chain = _long_only_frontier(m)
+    chain = _long_only_frontier(m, _short_selling_top(m))
     assert chain.built == 0  # nothing runs until the chain is read
     assert chain[1] is chain[1]
     assert chain.built == 2
@@ -529,7 +533,7 @@ def test_failed_walk_fails_every_later_reader(k):
         assert again.value is first.value
     # a segment walked before the failure can still be read
     if k:
-        assert chain[k - 1].hi == list(_long_only_frontier(m))[k - 1].hi
+        assert chain[k - 1].hi == list(_long_only_frontier(m, _short_selling_top(m)))[k - 1].hi
     # a rule reading the chain after the failure fails, or answers, as it
     # does on a chain of its own
     t, lam = 0.05, max(0.05 - float(m.mu_vec.min()), 0.0) + 0.8
@@ -598,7 +602,7 @@ def frontier_variance(segments, xi):
 @settings(max_examples=60, deadline=None)
 def test_frontier_continuous_at_corners(seed, d):
     m = random_model(seed, d)
-    segments = _long_only_frontier(m)
+    segments = _long_only_frontier(m, _short_selling_top(m))
     assert segments[-1].lo == pytest.approx(float(m.mu_vec.min()), abs=1e-12)
     for upper, lower in zip(segments, segments[1:]):
         assert lower.hi == pytest.approx(upper.lo, abs=1e-12)
@@ -617,11 +621,80 @@ def test_frontier_continuous_at_corners(seed, d):
             assert float(w @ m.cov @ w) == pytest.approx(frontier_variance([seg], xi), rel=1e-10)
 
 
+def walk_models(kind):
+    """Seeded models of ``kind`` with d from 2 to 30: a generic covariance,
+    whose GMV often shorts, and a diagonally dominant one, whose GMV is
+    interior."""
+    for d, seed in itertools.product((2, 3, 4, 6, 9, 13, 19, 30), (1, 2)):
+        seed += 100 * d
+        m = random_model(seed, d) if kind == "normal" else grid_model(kind, seed, d)
+        yield m
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d, d))
+        cov = 0.3 * a @ a.T / d + np.diag(rng.uniform(0.5, 1.5, size=d))
+        yield MarketModel(m.assets, m.mu_vec, (1e-4 if kind == "daily" else 1.0) * cov)
+
+
+def solved(solver, m, t, lam, chain):
+    """The solver's Portfolio, or the name of the error it raised."""
+    try:
+        return solver(m, t, lam, chain)
+    except WctsvError as exc:
+        return type(exc).__name__
+
+
+def same_segments(a, b):
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("kind", ["normal", "daily", "steep", "tied"])
+def test_walk_from_the_short_selling_top_matches_the_kappa_zero_walk(kind):
+    # the chain that starts from the short-selling frontier has the free sets
+    # of the walk from kappa = 0 in the same order, and is the same chain bit
+    # for bit unless the unconstrained GMV is interior; on an interior GMV its
+    # ends and both EEP answers agree to rounding.  On steep frontiers the
+    # weights move ~1e6 per unit of xi and EEP_TSV_S's objective is flat to an
+    # ulp across hundreds of ulps of xi, so either walk may pick a winner whose
+    # weights differ far beyond rounding (6.8e-9 seen on 1,624 models): there
+    # only the objective is held to rounding
+    interior = 0
+    for m in walk_models(kind):
+        top = _short_selling_top(m)
+        new, ref = list(_long_only_frontier(m, top)), list(_long_only_frontier(m, None))
+        assert [s.free.tolist() for s in new] == [s.free.tolist() for s in ref]
+        if top is None or top.p.min() <= ACTIVE_TOL:
+            assert all(same_segments(a, b) for a, b in zip(new, ref))
+            continue
+        interior += 1
+        spread = float(np.ptp(m.mu_vec))
+        for a, b in zip(new, ref):
+            assert max(abs(a.lo - b.lo), abs(a.hi - b.hi)) <= 1e-9 * spread
+        lo, hi = float(m.mu_vec.min()), float(m.mu_vec.max())
+        scale = math.sqrt(float(np.mean(np.diag(m.cov))))
+        for t, extra in itertools.product(
+            (lo - 2.0 * scale, lo, 0.5 * (lo + hi), hi, hi + 2.0 * scale), (0.01, 0.1, 1.0, 10.0)
+        ):
+            lam = max(t - lo, 0.0) + extra * scale
+            for solver in (eep_tsv_portfolio, eep_tsv_s_portfolio):
+                got, want = (solved(solver, m, t, lam, chain) for chain in (new, ref))
+                if isinstance(want, str) or isinstance(got, str):
+                    assert got == want
+                    continue
+                if kind != "steep":  # a few ulps of a weight
+                    np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=2e-15)
+                assert got.objective == pytest.approx(want.objective, rel=1e-14, abs=0.0)
+                if got.regime != want.regime:  # the winner sits on t to rounding
+                    assert abs(want.expected_loss - t) <= 1e-15 * spread
+    assert interior >= 8
+
+
 @given(seed=st.integers(0, 10_000), d=st.integers(2, 10))
 @settings(max_examples=30, deadline=None)
 def test_frontier_below_every_probe(seed, d):
     m = random_model(seed, d)
-    segments = _long_only_frontier(m)
+    segments = _long_only_frontier(m, _short_selling_top(m))
     top = segments[0].hi
     for p in probes(d, n=500, seed=seed):
         xi = float(p @ m.mu_vec)

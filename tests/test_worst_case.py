@@ -1,5 +1,9 @@
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -219,7 +223,7 @@ def test_non_finite_threshold_rejected(evaluate, t, fam):
 def test_value_beyond_the_floats_raises_invalid_profile(measure, fam, huge):
     # where sigma^2 or (mu - t)^2 leaves the floats the closed form raises a
     # domain error, never an OverflowError or an infinite or NaN value; the
-    # regret grows like sigma, so it stays finite where only sigma is huge
+    # regret grows like sigma and |mu - t|, so it stays finite here
     evaluate = {
         "regret": wc_expected_regret,
         "tsv": wc_target_semivariance,
@@ -229,11 +233,72 @@ def test_value_beyond_the_floats_raises_invalid_profile(measure, fam, huge):
     }[measure]
     for mu, sigma, t in ((huge, 1.0, 0.0), (1.0, huge, 0.0), (1.0, huge, 1.0), (1.0, 1.0, -huge)):
         p = profile(mu, sigma)
-        if measure == "regret" and (fam is ARB or sigma == huge or (fam is NN and t < 0.0)):
+        if measure == "regret":
             assert math.isfinite(evaluate(p, t, fam).value)
         else:
             with pytest.raises(InvalidProfile, match="not finite"):
                 evaluate(p, t, fam)
+
+
+BAND = "mu - sigma/2 <= t < mu + sigma/2"
+TAIL = "t >= (sigma^2+mu^2)/(2 mu)"
+
+
+def exact_regret(mu, sigma, t, fam):
+    """The symmetric or non-negative regret as (regime, value), the value
+    exact, or to 50 digits on the non-negative family's last branch."""
+    m, s, t = Fraction(mu), Fraction(sigma), Fraction(t)
+    if fam is SYM:
+        if t < m - s / 2:
+            return "t < mu - sigma/2", (8 * (m - t) ** 2 + s * s) / (8 * (m - t))
+        if t < m + s / 2:
+            return BAND, (m + s - t) / 2
+        return "t >= mu + sigma/2", s * s / (8 * (t - m))
+    if t < 0:
+        return "t < 0", m - t
+    if t < (s * s + m * m) / (2 * m):
+        return "0 <= t < (sigma^2+mu^2)/(2 mu)", m - m * m * t / (s * s + m * m)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        gap, sd = Decimal(mu) - Decimal(float(t)), Decimal(sigma)
+        root = (sd * sd + gap * gap).sqrt()
+        # (gap + root) / 2, without its cancellation where gap < 0
+        return TAIL, Fraction((gap + root) / 2 if gap >= 0 else sd * sd / (2 * (root - gap)))
+
+
+@pytest.mark.parametrize("fam", [SYM, NN])
+def test_regret_answers_where_its_squares_leave_the_floats(fam):
+    # magnitudes from 1e100 to 1e308, so squares overflow and nothing
+    # underflows: the regret raises a domain error only where its exact value
+    # is beyond the floats and is otherwise within rounding of it.  The
+    # forms mu + sigma - t of the middle band and mu - t + hypot(sigma, mu - t)
+    # of the last branch cancel, and a branch chosen within rounding of its
+    # edge errs too, so those are held to the inputs' scale instead.  The
+    # first draws sit at the floats' edge, where mu - t itself overflows
+    rng = np.random.default_rng(20)
+    edges = [(1e308, 1e308, -1e308), (1e308, 1e308, 1.7e308), (1e308, 1.7e308, -1e308)]
+    if fam is SYM:
+        edges += [(-1e308, 1e308, 1e308), (-1e308, 1.7e308, 1.7e308), (-1.7e308, 1e300, 1e308)]
+    draws = []
+    for _ in range(2000):
+        mu, sigma, t = rng.choice((-1.0, 1.0), size=3) * 10.0 ** rng.uniform(100, 308, size=3)
+        mu, sigma, t = float(abs(mu) if fam is NN else mu), float(abs(sigma)), float(t)
+        if rng.random() < 0.3:
+            t = mu + float(rng.normal()) * sigma
+        draws.append((mu, sigma, t))
+    checked = 0
+    for mu, sigma, t in edges + draws:
+        regime, value = exact_regret(mu, sigma, t, fam)
+        if value >= 2**1024:
+            with pytest.raises(InvalidProfile, match="not finite"):
+                wc_expected_regret(profile(mu, sigma), t, fam)
+            continue
+        got = wc_expected_regret(profile(mu, sigma), t, fam)
+        exact = got.regime == regime and regime not in (BAND, TAIL)
+        scale = value if exact else max(abs(mu), sigma, abs(t))
+        assert abs(Fraction(got.value) - value) <= 1e-15 * scale, (mu, sigma, t)
+        checked += exact
+    assert checked >= 1000
 
 
 @pytest.mark.parametrize("huge", [1e160, 1e300])
