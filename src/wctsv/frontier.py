@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMeans, InvalidThreshold, NonConvergence, NotPositiveDefinite
-from .worst_case import Family, MomentProfile, _symmetric_slope, wc_target_semivariance
+from .worst_case import _symmetric_slope, _symmetric_value
+from .worst_case import wc_target_semivariance  # noqa: F401 (perfbench patches it here)
 
 __all__ = [
     "MarketModel",
@@ -110,6 +111,11 @@ class _Segment(NamedTuple):
         w = np.zeros(dim)
         w[self.free] = self.p + self.q * (xi - self.hi)
         return w
+
+    def sigma(self, xi: float) -> float:
+        """``sqrt(V)`` at ``xi``, ``V`` clipped at 0 and the root at ``SIGMA_FLOOR``."""
+        u = xi - self.hi
+        return max(math.sqrt(max((self.a * u + self.b) * u + self.c, 0.0)), SIGMA_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,10 +305,9 @@ def _certify_slopes(
     they are flat only to rounding on steep frontiers.
     """
     def slope(x: float) -> float:
-        u = x - seg.hi
-        sigma = max(math.sqrt(max((seg.a * u + seg.b) * u + seg.c, 0.0)), SIGMA_FLOOR)
-        dsigma = (2.0 * seg.a * u + seg.b) / (2.0 * sigma)
-        return _symmetric_slope(MomentProfile(x, sigma), t, lam, dsigma)
+        sigma = seg.sigma(x)
+        dsigma = (2.0 * seg.a * (x - seg.hi) + seg.b) / (2.0 * sigma)
+        return _symmetric_slope(x, sigma, t, lam, dsigma)
 
     tol = 1e-12 * (spread + abs(xi))
     delta = math.sqrt(VALUE_TIE * f / (seg.a + 1.0))
@@ -334,8 +339,7 @@ def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -
         raise InvalidThreshold(f"loss cap and threshold must be finite, got {nu} and {t}")
 
     def h(xi: float) -> float:
-        sigma = math.sqrt(fp.variance_at(xi))
-        return wc_target_semivariance(MomentProfile(xi, sigma), t, Family.SYMMETRIC).value
+        return _symmetric_value(xi, math.sqrt(fp.variance_at(xi)), t, None)[0]
 
     seg = fp.segment
     hi = min(nu, seg.hi)

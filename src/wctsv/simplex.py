@@ -20,8 +20,10 @@ minimum-variance portfolio by active-set steps on its own first KKT
 solves, so no separate QP runs.  Both solvers use the exact minimizers the
 short-selling rules use: EEP_TSV the sign rule of
 :func:`wctsv.frontier._tsv_minimizer`, like TSV; EEP_TSV_S the first
-smallest of :func:`wctsv.frontier._segment_candidates`, like M_TSV_S.
-Segment weights are clipped at 0 here, where the frontier is long-only.
+smallest of :func:`wctsv.frontier._segment_candidates`, like M_TSV_S, each
+candidate scored by the closed form at ``sigma = sqrt(V)`` of its segment,
+so that only the winner's weights are built.  Segment weights are clipped
+at 0 here, where the frontier is long-only.
 The chain is walked lazily, one corner at a time, and keeps what it walked,
 so each rule walks only as far as its own stop: EEP_TSV down to its ``f'``
 sign change, EEP_TSV_S until an exact lower bound, the objective along the
@@ -49,7 +51,9 @@ from .frontier import (
     KKT_TOL, SIGMA_FLOOR, MarketModel, Portfolio, _certify_slopes, _Segment, _segment_candidates,
     _tsv_minimizer, frontier_params,
 )
-from .worst_case import Family, MomentProfile, wc_target_semivariance_constrained
+from .worst_case import (
+    Family, MomentProfile, _symmetric_value, wc_target_semivariance_constrained,
+)
 
 __all__ = [
     "check_regret_feasibility",
@@ -59,9 +63,10 @@ __all__ = [
 ]
 
 ACTIVE_TOL = 1e-12
-# EEP_TSV_S's early stop: relative room for rounding in sigma at rebuilt
-# weights, as the bound at a segment's low end ties the next segment's first
-# point; it reaches 2e-9 of the value where the means differ by 1e-5 of their size
+# EEP_TSV_S's early stop: relative room for the rounding of V, whose root
+# scores the candidates, as the bound at a segment's low end ties the next
+# segment's first point; the bound exceeds a later value by up to 1.6e-9 of it
+# on steep frontiers (means 1e-6 of their size apart), 2.3e-15 on the others
 STOP_MARGIN = 1e-8
 
 
@@ -294,12 +299,17 @@ def _long_only_frontier(m: MarketModel, top: _Segment | None) -> _Chain:
 
 
 def _kkt_residual(w: np.ndarray, grad: np.ndarray) -> float:
-    free = w > 1e-10
-    g = grad[free]
-    gamma = float(g.sum()) / g.size
-    stationarity = float(np.abs(g - gamma).max())
-    dual = float(np.maximum(gamma - grad[~free], 0.0).max()) if (~free).any() else 0.0
-    return max(stationarity, dual) / (1.0 + abs(gamma))
+    """Relative KKT residual over the simplex: the spread of ``grad`` on the
+    weights above 1e-10 about their mean ``gamma``, and how far any other
+    asset's ``grad`` falls below ``gamma``.  In scalars, as ``w`` has a few
+    dozen entries at most and numpy's per-call cost would dominate."""
+    free, out = [], []
+    for wi, gi in zip(w.tolist(), grad.tolist()):
+        (free if wi > 1e-10 else out).append(gi)
+    gamma = sum(free) / len(free)
+    stationarity = max(abs(g - gamma) for g in free)
+    dual = max([gamma - g for g in out], default=0.0)
+    return max(stationarity, dual, 0.0) / (1.0 + abs(gamma))
 
 
 def eep_tsv_portfolio(
@@ -383,8 +393,9 @@ def _certify_symmetric(
 
 def _tangent_profiles(
     seg: _Segment, sigma: float, bottom: float, t: float, lam: float
-) -> Iterator[MomentProfile]:
-    """Where the objective can be least on the tangent below ``seg``.
+) -> Iterator[tuple[float, float]]:
+    """Where the objective can be least on the tangent below ``seg``, as
+    ``(xi, sigma)`` pairs.
 
     ``sigma(xi)`` is convex along the long-only frontier (a partial
     minimization of a norm), so every later point, from ``seg.lo``
@@ -397,11 +408,12 @@ def _tangent_profiles(
     :func:`wctsv.frontier._segment_candidates` yields its exact minimizers.
     """
     slope = min((2.0 * seg.a * (seg.lo - seg.hi) + seg.b) / (2.0 * sigma), 0.0)
-    line = seg._replace(
-        lo=min(bottom, seg.lo), hi=seg.lo, a=slope * slope, b=2.0 * sigma * slope, c=sigma * sigma
+    line = _Segment(
+        seg.free, seg.p, seg.q, min(bottom, seg.lo), seg.lo, slope * slope, 2.0 * sigma * slope,
+        sigma * sigma,
     )
     for x in _segment_candidates(line, line.lo, line.hi, t, lam):
-        yield MomentProfile(x, sigma + slope * (x - line.hi))
+        yield x, sigma + slope * (x - line.hi)
 
 
 def eep_tsv_s_portfolio(
@@ -414,14 +426,16 @@ def eep_tsv_s_portfolio(
     when not given) in chain order, then the vertices at ``min mu`` (where
     the exact-equality floor branch can fire; above the floor every other
     vertex is dominated by a frontier point with no larger ``xi`` or
-    ``sigma``).  Each is scored by the closed form at its rebuilt weights
-    and the first smallest wins.  The walk stops after a segment once the
-    objective exceeds the best value by ``STOP_MARGIN`` relative at every
-    point of :func:`_tangent_profiles`, the exact lower bound on every later
-    point, the vertices included, so none can win.
+    ``sigma``).  A candidate is scored by the closed form at ``sigma =
+    sqrt(V)`` of its segment, a vertex at its own weights, and the first
+    smallest wins; only the winner's weights are rebuilt.  The walk stops
+    after a segment once the objective exceeds the best value by
+    ``STOP_MARGIN`` relative at every point of :func:`_tangent_profiles`,
+    the exact lower bound on every later point, the vertices included, so
+    none can win.
     :func:`_certify_symmetric` checks the winner's first-order optimality
-    exactly on the segment it was scored on; a vertex is checked on the
-    last segment, which ends at ``min mu``.
+    exactly at its rebuilt weights, on the segment it was scored on; a
+    vertex is checked on the last segment, which ends at ``min mu``.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
@@ -429,40 +443,37 @@ def eep_tsv_s_portfolio(
     bottom = float(mu.min())
     chain = frontier if frontier is not None else _long_only_frontier(m, _short_selling_top(m))
 
-    def value(p: MomentProfile):
-        try:
-            return wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
-        except EmptyUncertaintySet:
-            return None
-
-    best = None
-
-    def score(w: np.ndarray, seg: _Segment) -> MomentProfile:
-        nonlocal best
+    def profile(w: np.ndarray) -> MomentProfile:
         sigma = max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
-        p = MomentProfile(float(w @ mu), sigma)
-        r = value(p)
-        if r is not None and (best is None or r.value < best[2].value):
-            best = (w, p, r, seg)
-        return p
+        return MomentProfile(float(w @ mu), sigma)
 
+    best = None  # (value, segment, xi, weights or None)
     for seg in chain:
-        xs = _segment_candidates(seg, seg.lo, seg.hi, t, lam)
-        profiles = [score(np.maximum(seg.weights(d, xi), 0.0), seg) for xi in xs]
+        for x in _segment_candidates(seg, seg.lo, seg.hi, t, lam):
+            r = _symmetric_value(x, seg.sigma(x), t, lam)
+            if r is not None and (best is None or r[0] < best[0]):
+                best = (r[0], seg, x, None)
         if best is not None:
-            limit = best[2].value * (1.0 + STOP_MARGIN)
-            sigma = profiles[1].sigma  # xs[1] is seg.lo
-            below = map(value, _tangent_profiles(seg, sigma, bottom, t, lam))
-            if all(r is not None and r.value > limit for r in below):
+            limit = best[0] * (1.0 + STOP_MARGIN)
+            tangent = _tangent_profiles(seg, seg.sigma(seg.lo), bottom, t, lam)
+            below = (_symmetric_value(x, sigma, t, lam) for x, sigma in tangent)
+            if all(r is not None and r[0] > limit for r in below):
                 break
     else:
         for w in np.eye(d)[mu == bottom]:
-            score(w, seg)  # the walk has ended: seg is the last, down to min mu
+            p = profile(w)
+            r = _symmetric_value(p.mu, p.sigma, t, lam)
+            if r is not None and (best is None or r[0] < best[0]):
+                best = (r[0], seg, p.mu, w)  # the walk has ended: seg is the last, down to min mu
     if best is None:
         raise EmptyUncertaintySet(
             f"no simplex portfolio has a non-empty symmetric set at t={t}, lambda={lam}"
         )
-    w, p, r, seg = best
+    _, seg, x, w = best
+    if w is None:
+        w = np.maximum(seg.weights(d, x), 0.0)
+    p = profile(w)
+    r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
     _certify_symmetric(seg, chain[0].hi, w, p, r.value, m, t, lam)
     return Portfolio(
         weights=w,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -41,6 +42,11 @@ __all__ = [
     "set_nonempty",
     "reflect_complement_bounds",
 ]
+
+# the budgeted regime exactly on the floor (mu - t)_-, where the supremum is 0
+_ON_FLOOR = "lambda == (mu-t)_-"
+# the least normal float: a square below it has lost digits to underflow
+_TINY = sys.float_info.min
 
 
 class Family(enum.Enum):
@@ -95,8 +101,8 @@ class ComplementBounds:
     inf_minus2: float
 
 
-def _not_finite(p: MomentProfile, t: float) -> InvalidProfile:
-    return InvalidProfile(f"worst case is not finite at mu={p.mu}, sigma={p.sigma}, t={t}")
+def _not_finite(mu: float, sigma: float, t: float) -> InvalidProfile:
+    return InvalidProfile(f"worst case is not finite at mu={mu}, sigma={sigma}, t={t}")
 
 
 def _neg_part(x: float) -> float:
@@ -134,15 +140,18 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
       ``mu - mu^2 t / (sigma^2 + mu^2)`` up to ``(sigma^2 + mu^2)/(2 mu)``,
       then the arbitrary-family value.
 
-    Where a square or a product in one of these forms leaves the floats, the
+    Forms that cancel are evaluated in a stable arrangement instead: the
+    middle band as ``((mu - t) + sigma) / 2``, and the arbitrary value for
+    ``s = mu - t < 0`` as ``sigma (sigma / (hypot(sigma, s) - s)) / 2``.
+    Where a square or a product in one of these forms leaves the floats, or
+    a square of the non-negative forms falls below the normal floats, the
     same quantity is evaluated rescaled, so a finite supremum is returned
     even then; elsewhere the forms are evaluated as written.
     """
     _require_inputs(p, t, fam)
     mu, sg = p.mu, p.sigma
     if fam is Family.ARBITRARY:
-        val = 0.5 * (mu - t + math.hypot(sg, mu - t))
-        return WorstCaseValue(val, "all t")
+        return WorstCaseValue(_arbitrary_regret(mu, sg, t), "all t")
     if fam is Family.SYMMETRIC:
         if t < mu - sg / 2.0:
             s = mu - t
@@ -154,7 +163,7 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
                 val = s + sg / 8.0 * (sg / s)
             return WorstCaseValue(val, "t < mu - sigma/2")
         if t < mu + sg / 2.0:
-            return WorstCaseValue(0.5 * (mu + sg - t), "mu - sigma/2 <= t < mu + sigma/2")
+            return WorstCaseValue(0.5 * ((mu - t) + sg), "mu - sigma/2 <= t < mu + sigma/2")
         if t == mu:  # sigma/2 is below mu's rounding: t is mid-band, not past it
             return WorstCaseValue(0.5 * sg, "mu - sigma/2 <= t < mu + sigma/2")
         sq, d = sg * sg, 8.0 * (t - mu)
@@ -164,13 +173,30 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
     if t < 0.0:
         return WorstCaseValue(mu - t, "t < 0")
     sq = sg * sg + mu * mu
-    split = sq / (2.0 * mu) if sq < math.inf else 0.5 * mu + 0.5 * sg * (sg / mu)
+    split = sq / (2.0 * mu) if _TINY <= sq < math.inf else 0.5 * mu + 0.5 * sg * (sg / mu)
     if t < split:
         num = mu * mu * t
-        val = mu - num / sq if max(num, sq) < math.inf else mu - t / (1.0 + (sg / mu) * (sg / mu))
+        if max(num, sq) < math.inf and min(num, mu * mu) >= _TINY:
+            val = mu - num / sq
+        else:  # mu^2 t / sq as t / (1 + k^2), k = sigma / mu, or t / k / k if k^2 overflows
+            k = sg / mu
+            val = mu - (t / (1.0 + k * k) if k * k < math.inf else t / k / k)
         return WorstCaseValue(val, "0 <= t < (sigma^2+mu^2)/(2 mu)")
-    val = 0.5 * (mu - t + math.hypot(sg, mu - t))
-    return WorstCaseValue(val, "t >= (sigma^2+mu^2)/(2 mu)")
+    return WorstCaseValue(_arbitrary_regret(mu, sg, t), "t >= (sigma^2+mu^2)/(2 mu)")
+
+
+def _arbitrary_regret(mu: float, sg: float, t: float) -> float:
+    """``(s + hypot(sigma, s)) / 2`` with ``s = mu - t``; for ``s < 0`` it is
+    ``sigma^2 / (2 (hypot(sigma, s) - s))``, which does not cancel, and is
+    taken at an eighth of the scale where that denominator leaves the floats."""
+    s = mu - t
+    r = math.hypot(sg, s)
+    if s >= 0.0:
+        return 0.5 * (s + r)
+    if r - s < math.inf:
+        return sg * (sg / (r - s)) / 2.0
+    e = 0.125 * mu - 0.125 * t
+    return 0.125 * sg * (0.5 * sg / (math.hypot(0.125 * sg, e) - e))
 
 
 def wc_target_semivariance(p: MomentProfile, t: float, fam: Family) -> WorstCaseValue:
@@ -182,18 +208,14 @@ def wc_target_semivariance(p: MomentProfile, t: float, fam: Family) -> WorstCase
     the mean.
     """
     _require_inputs(p, t, fam)
-    mu, sg = p.mu, p.sigma
+    if fam is Family.SYMMETRIC:
+        return WorstCaseValue(*_symmetric_value(p.mu, p.sigma, t, None))
+    mu = p.mu
     try:
-        if fam is Family.SYMMETRIC:
-            if t <= mu - sg:
-                return WorstCaseValue(sg * sg + (t - mu) ** 2, "t <= mu - sigma")
-            if t <= mu:
-                return WorstCaseValue(0.5 * (mu - t + sg) ** 2, "mu - sigma < t <= mu")
-            return WorstCaseValue(0.5 * sg * sg, "t > mu")
-        val = sg * sg + _pos_part(mu - t) ** 2
-        return WorstCaseValue(val, "t < mu" if t < mu else "t >= mu")
+        val = p.sigma * p.sigma + _pos_part(mu - t) ** 2
     except OverflowError:  # a ** 2 beyond the floats
-        raise _not_finite(p, t) from None
+        raise _not_finite(mu, p.sigma, t) from None
+    return WorstCaseValue(val, "t < mu" if t < mu else "t >= mu")
 
 
 def set_nonempty(p: MomentProfile, t: float, lam: float | None, fam: Family) -> bool:
@@ -223,7 +245,7 @@ def set_nonempty(p: MomentProfile, t: float, lam: float | None, fam: Family) -> 
         try:
             return p.sigma**2 <= p.mu * (t - p.mu)
         except OverflowError:
-            raise _not_finite(p, t) from None
+            raise _not_finite(p.mu, p.sigma, t) from None
     return p.sigma <= t - p.mu
 
 
@@ -257,56 +279,106 @@ def wc_target_semivariance_constrained(
     if lam is None:
         return wc_target_semivariance(p, t, fam)
     _check_budget(lam)
+    if fam is Family.SYMMETRIC:
+        r = _symmetric_value(p.mu, p.sigma, t, lam)
+        if r is None:
+            raise _empty_set(p, t, lam, fam)
+        return WorstCaseValue(*r)
     mu, sg = p.mu, p.sigma
     floor = _neg_part(mu - t)
+    # above the floor every set has a member; on it the family decides, and
+    # the supremum is 0 (exact equality on purpose, see _symmetric_value)
+    if lam < floor or (lam == floor and not set_nonempty(p, t, lam, fam)):
+        raise _empty_set(p, t, lam, fam)
+    if lam == floor:
+        return WorstCaseValue(0.0, _ON_FLOOR)
+    try:
+        val = sg * sg + _pos_part(mu - t) ** 2
+    except OverflowError:  # a ** 2 beyond the floats
+        raise _not_finite(mu, sg, t) from None
+    return WorstCaseValue(val, "lambda > (mu-t)_-")
+
+
+def _empty_set(p: MomentProfile, t: float, lam: float, fam: Family) -> EmptyUncertaintySet:
+    floor = _neg_part(p.mu - t)
     if lam < floor:
-        raise EmptyUncertaintySet(
+        return EmptyUncertaintySet(
             f"budget {lam} is below the attainable floor (mu-t)_- = {floor}"
         )
-    if lam == floor:
-        # above the floor every set has a member; on it the family decides
-        if not set_nonempty(p, t, lam, fam):
-            raise EmptyUncertaintySet(
-                f"no {fam.value} distribution with mu={mu}, sigma={sg} satisfies "
-                f"E[(X-t)_-] <= {lam} at t={t}"
-            )
-        # Jensen equality pins X <= t a.s., so the upside is empty.  Exact
-        # float equality on purpose: the supremum really jumps to 0 here,
-        # and one ulp above the floor it takes the positive branch's value.
-        return WorstCaseValue(0.0, "lambda == (mu-t)_-")
+    return EmptyUncertaintySet(
+        f"no {fam.value} distribution with mu={p.mu}, sigma={p.sigma} satisfies "
+        f"E[(X-t)_-] <= {lam} at t={t}"
+    )
+
+
+def _symmetric_value(
+    mu: float, sg: float, t: float, lam: float | None
+) -> tuple[float, str] | None:
+    """The symmetric family's worst case as ``(value, regime)``, or None
+    where the budgeted set is empty: the one place its closed forms are
+    written.  The branches are those of
+    :func:`wc_target_semivariance_constrained` (``lam=None``: of
+    :func:`wc_target_semivariance`).
+
+    The portfolio rules call it with floats in their loops, having checked
+    ``t`` (finite) and ``lam`` (finite and > 0) once per solve; the moments
+    are checked here as :class:`MomentProfile` checks them, and a value
+    beyond the floats raises :class:`InvalidProfile` as
+    :class:`WorstCaseValue` does.
+    """
+    if not (math.isfinite(mu) and math.isfinite(sg)):
+        raise InvalidProfile(f"non-finite moments ({mu}, {sg})")
+    if sg <= 0.0:
+        raise InvalidProfile(f"sigma must be > 0, got {sg}")
     try:
-        if fam is not Family.SYMMETRIC:
-            val = sg * sg + _pos_part(mu - t) ** 2
-            return WorstCaseValue(val, "lambda > (mu-t)_-")
-
-        m = lam + mu - t
-        if sg <= m:
-            case = "sigma<=m"
-        elif sg <= 2.0 * m:
-            case = "m<sigma<=2m"
+        if lam is None:
+            if t <= mu - sg:
+                val, regime = sg * sg + (t - mu) ** 2, "t <= mu - sigma"
+            elif t <= mu:
+                val, regime = 0.5 * (mu - t + sg) ** 2, "mu - sigma < t <= mu"
+            else:
+                val, regime = 0.5 * sg * sg, "t > mu"
         else:
-            case = "sigma>2m"
-        if t > mu:
-            return WorstCaseValue(0.5 * sg * sg, f"{case}; t>mu")
-        s = mu - t
-        if sg <= s:
-            return WorstCaseValue(sg * sg + s * s, f"{case}; t<=mu-sigma")
-        if sg < 2.0 * m - s:
-            sub = "mu-sigma<t<=mu" if case == "sigma<=m" else "mu+sigma-2m<t<=mu"
-            return WorstCaseValue(0.5 * (s + sg) ** 2, f"{case}; {sub}")
-        # Budget binds: two-point mass at mu +/- sigma would need
-        # (sigma + s)/2 <= m, i.e. sigma < 2m - s, which just failed.
-        val = 0.5 * sg * sg + 2.0 * m * s - 0.5 * s * s
-        sub = "t<=mu+sigma-2m" if case == "m<sigma<=2m" else "t<=mu"
-        return WorstCaseValue(val, f"{case}; {sub}")
+            s = mu - t
+            if lam <= -s:  # lam > 0, so the floor (mu - t)_- is -s here
+                if lam < -s:
+                    return None
+                # Jensen equality pins X <= t a.s., so the upside is empty;
+                # symmetry about mu turns that into |X - mu| <= t - mu.  Exact
+                # float equality on purpose: the supremum really jumps to 0
+                # here, and one ulp above the floor it takes a positive value.
+                return (0.0, _ON_FLOOR) if sg <= t - mu else None
+            m = lam + mu - t
+            if sg <= m:
+                case = "sigma<=m"
+            elif sg <= 2.0 * m:
+                case = "m<sigma<=2m"
+            else:
+                case = "sigma>2m"
+            if t > mu:
+                val, regime = 0.5 * sg * sg, f"{case}; t>mu"
+            elif sg <= s:
+                val, regime = sg * sg + s * s, f"{case}; t<=mu-sigma"
+            elif sg < 2.0 * m - s:
+                sub = "mu-sigma<t<=mu" if case == "sigma<=m" else "mu+sigma-2m<t<=mu"
+                val, regime = 0.5 * (s + sg) ** 2, f"{case}; {sub}"
+            else:
+                # Budget binds: two-point mass at mu +/- sigma would need
+                # (sigma + s)/2 <= m, i.e. sigma < 2m - s, which just failed.
+                val = 0.5 * sg * sg + 2.0 * m * s - 0.5 * s * s
+                sub = "t<=mu+sigma-2m" if case == "m<sigma<=2m" else "t<=mu"
+                regime = f"{case}; {sub}"
     except OverflowError:  # a ** 2 beyond the floats
-        raise _not_finite(p, t) from None
+        raise _not_finite(mu, sg, t) from None
+    if not math.isfinite(val):
+        raise InvalidProfile(f"worst case {val} is not finite")
+    return val, regime
 
 
-def _symmetric_slope(p: MomentProfile, t: float, lam: float | None, dsigma: float) -> float:
+def _symmetric_slope(mu: float, sg: float, t: float, lam: float | None, dsigma: float) -> float:
     """Slope of the budgeted symmetric value above the floor along a path
     with ``d mu = 1`` and ``d sigma = dsigma``: the derivative of the branch
-    that :func:`wc_target_semivariance_constrained` selects at ``p``.
+    that :func:`_symmetric_value` selects at ``(mu, sigma)``.
 
     With ``s = mu - t`` the branches' slopes are ``sigma dsigma``
     (``t > mu``), ``2 sigma dsigma + 2s`` (``sigma <= s``),
@@ -314,7 +386,7 @@ def _symmetric_slope(p: MomentProfile, t: float, lam: float | None, dsigma: floa
     ``sigma dsigma + 2 lam + 3s`` (budget binds).  ``lam=None`` means no
     budget, so the pair never breaks it.
     """
-    s, sg = p.mu - t, p.sigma
+    s = mu - t
     if s < 0.0:
         return sg * dsigma
     if sg <= s:

@@ -21,7 +21,7 @@ from wctsv.backtest import (
     run_backtest,
     summarize,
 )
-from wctsv.frontier import classical_mv, frontier_params
+from wctsv.frontier import _Segment, classical_mv, frontier_params
 from wctsv.market_data import LossPanel, compute_losses, estimate_moments, load_price_panel
 from wctsv.simplex import _Chain, _critical_line, _long_only_frontier, _short_selling_top
 
@@ -270,6 +270,40 @@ def test_bundled_long_only_walk_makes_about_one_solve_a_day(monkeypatch):
     res = run_backtest(losses, BacktestConfig())
     assert res.failures == ()
     assert calls.count("wctsv.simplex") <= 1.1 * len(res.oos_dates)
+
+
+@pytest.mark.parametrize("setting, calls", [
+    ({}, 768),
+    ({"t": -0.001, "nu": -0.0003}, 765),
+    ({"t": -0.0005, "nu": -0.0003, "lam": 0.002}, 919),
+    ({"t": 0.0, "lam": 0.003}, 524),
+])
+def test_bundled_eep_tsv_s_builds_weights_for_its_winner_only(
+    monkeypatch, record_property, setting, calls
+):
+    # EEP_TSV_S scores its candidates in scalars, at sqrt(V) of their segment,
+    # and builds weights once a solve, for the winner; the closed-form calls
+    # per solve are recorded, and the 77 solves' total may not grow past the
+    # count measured here (9.97, 9.94, 11.9 and 6.81 a solve)
+    built, core = [], []
+    weights, value = _Segment.weights, wctsv.simplex._symmetric_value
+
+    def counting_weights(self, dim, xi):
+        built.append(xi)
+        return weights(self, dim, xi)
+
+    def counting_value(*args):
+        core.append(args)
+        return value(*args)
+
+    monkeypatch.setattr(_Segment, "weights", counting_weights)
+    monkeypatch.setattr(wctsv.simplex, "_symmetric_value", counting_value)
+    res = run_backtest(bundled_losses(), BacktestConfig(models=("EEP_TSV_S",), **setting))
+    assert res.failures == ()
+    solves = len(res.oos_dates)
+    record_property("core_calls_per_solve", len(core) / solves)
+    assert len(built) <= solves
+    assert len(core) <= calls
 
 
 SOLVERS = (

@@ -310,26 +310,53 @@ def grid_model(kind, seed, d):
     return MarketModel(tuple(f"X{i}" for i in range(d)), mu, cov)
 
 
+def sym(t, lam, xi, sigma):
+    """The budgeted symmetric worst case at (xi, sigma), None on an empty set."""
+    try:
+        return wc_target_semivariance_constrained(
+            MomentProfile(xi, sigma), t, lam, Family.SYMMETRIC
+        )
+    except EmptyUncertaintySet:
+        return None
+
+
+def h_at(t, lam, xi, sigma):
+    r = sym(t, lam, xi, sigma)
+    return math.inf if r is None else r.value
+
+
+def sigma_on(s, x):
+    """sqrt(V) at x on segment s, V in vertex form, as EEP_TSV_S scores it."""
+    u = x - s.hi
+    return max(math.sqrt(max((s.a * u + s.b) * u + s.c, 0.0)), SIGMA_FLOOR)
+
+
+def sigma_of(m, w):
+    return max(math.sqrt(max(float(w @ m.cov @ w), 0.0)), SIGMA_FLOOR)
+
+
 def first_smallest(m, t, lam, chain):
     """EEP_TSV_S's answer scored over every candidate of the whole chain:
-    (weights, value, regime) of the first smallest, vertices at min mu last."""
+    (weights, value, regime) of the first smallest, vertices at min mu last.
+    A candidate is scored at sigma = sqrt(V) of its segment, a vertex at its
+    own weights; the value and regime are those at the winner's weights, the
+    only ones rebuilt."""
     d = m.dim
-    ws = [
-        np.maximum(s.weights(d, x), 0.0)
-        for s in chain
-        for x in _segment_candidates(s, s.lo, s.hi, t, lam)
+    points = [
+        (x, sigma_on(s, x), s) for s in chain for x in _segment_candidates(s, s.lo, s.hi, t, lam)
+    ]
+    points += [
+        (float(w @ m.mu_vec), sigma_of(m, w), w) for w in np.eye(d)[m.mu_vec == m.mu_vec.min()]
     ]
     best = None
-    for w in ws + list(np.eye(d)[m.mu_vec == m.mu_vec.min()]):
-        sigma = max(math.sqrt(max(float(w @ m.cov @ w), 0.0)), SIGMA_FLOOR)
-        p = MomentProfile(float(w @ m.mu_vec), sigma)
-        try:
-            r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
-        except EmptyUncertaintySet:
-            continue
-        if best is None or r.value < best[1]:
-            best = (w, r.value, r.regime)
-    return best
+    for x, sigma, source in points:
+        r = sym(t, lam, x, sigma)
+        if r is not None and (best is None or r.value < best[0]):
+            best = (r.value, x, source)
+    _, x, source = best
+    w = source if isinstance(source, np.ndarray) else np.maximum(source.weights(d, x), 0.0)
+    r = sym(t, lam, float(w @ m.mu_vec), sigma_of(m, w))
+    return w, r.value, r.regime
 
 
 def candidate_minimum(m, t, lam):
@@ -407,7 +434,8 @@ def test_early_stop_matches_the_full_walk(kind):
 def test_tangent_bound_is_below_every_later_point(kind):
     # wherever EEP_TSV_S computes its stop bound, the bound may not exceed
     # (1 + STOP_MARGIN) x the smallest value scored on any later segment or at
-    # the vertices at min mu; then a stop never skips a better point
+    # the vertices at min mu; then a stop never skips a better point.  Segment
+    # points are scored, and the bound taken, at sigma = sqrt(V) of the segment
     checked = 0
     for d, seed in itertools.product(range(2, 13), (3000, 3100)):
         m = random_model(seed, d) if kind == "normal" else grid_model(kind, seed, d)
@@ -418,7 +446,7 @@ def test_tangent_bound_is_below_every_later_point(kind):
             for extra in (0.01, 0.1, 1.0, 10.0):
                 lam = max(t - lo, 0.0) + extra * scale
                 scored = [
-                    min(h_sym(m, t, lam, np.maximum(s.weights(d, x), 0.0))
+                    min(h_at(t, lam, x, sigma_on(s, x))
                         for x in _segment_candidates(s, s.lo, s.hi, t, lam))
                     for s in chain
                 ]
@@ -428,13 +456,10 @@ def test_tangent_bound_is_below_every_later_point(kind):
                 for i, s in enumerate(chain):
                     if min(scored[: i + 1]) == math.inf:
                         continue  # no best value yet: the bound is not computed
-                    w = np.maximum(s.weights(d, s.lo), 0.0)
-                    sigma = max(math.sqrt(max(float(w @ m.cov @ w), 0.0)), SIGMA_FLOOR)
                     bound = math.inf
-                    for p in _tangent_profiles(s, sigma, lo, t, lam):
-                        try:
-                            r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
-                        except EmptyUncertaintySet:
+                    for x, sigma in _tangent_profiles(s, sigma_on(s, s.lo), lo, t, lam):
+                        r = sym(t, lam, x, sigma)
+                        if r is None:
                             break  # an empty set never stops the walk
                         bound = min(bound, r.value)
                     else:
@@ -467,6 +492,15 @@ def gmv_models(kind):
         mu = np.full(d, 0.1) if kind == "equal" else rng.normal(size=d)
         models.append(MarketModel(tuple(f"X{i}" for i in range(d)), mu, cov))
     return models
+
+
+@pytest.mark.parametrize("grad, residual", [
+    ([1.0, 1.0, 3.0], 0.0),  # stationary, and the idle asset's gradient is above gamma
+    ([1.0, 1.0, 0.0], 0.5),  # moving weight to the idle asset lowers the objective
+    ([1.0, 3.0, 5.0], 1.0 / 3.0),  # the free gradients spread 1 about gamma = 2
+])
+def test_kkt_residual_counts_both_conditions(grad, residual):
+    assert _kkt_residual(np.array([0.5, 0.5, 0.0]), np.array(grad)) == residual
 
 
 @pytest.mark.parametrize("kind", ["negative", "vertex", "equal", "readmit"])

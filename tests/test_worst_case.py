@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from wctsv import (
     wc_target_semivariance,
     wc_target_semivariance_constrained,
 )
-from wctsv.worst_case import _symmetric_slope
+from wctsv.errors import WctsvError
+from wctsv.worst_case import _symmetric_slope, _symmetric_value
 
 ARB, SYM, NN = Family.ARBITRARY, Family.SYMMETRIC, Family.NON_NEGATIVE
 
@@ -301,6 +303,127 @@ def test_regret_answers_where_its_squares_leave_the_floats(fam):
     assert checked >= 1000
 
 
+def regret_60(mu, sigma, t, fam):
+    """The regret to 60 digits: the branch chosen and the rational forms
+    evaluated exactly, the arbitrary form's square root taken to 60 digits."""
+    m, s, x = Fraction(mu), Fraction(sigma), Fraction(t)
+
+    def dec(q):
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        if fam is ARB or (fam is NN and x >= (s * s + m * m) / (2 * m)):
+            gap = m - x
+            root = dec(s * s + gap * gap).sqrt()
+            return (dec(gap) + root) / 2 if gap >= 0 else dec(s * s) / (2 * (root - dec(gap)))
+        return dec(exact_regret(mu, sigma, t, fam)[1])
+
+
+def regret_ulps(mu, sigma, t, fam):
+    """The regret's error in units in the last place of its exact value, or
+    None where that value is not a normal float."""
+    exact = regret_60(mu, sigma, t, fam)
+    unit = math.ulp(float(exact))
+    if not sys.float_info.min <= float(exact) < math.inf:
+        return None
+    got = wc_expected_regret(profile(mu, sigma), t, fam).value
+    return float(abs(Decimal(got) - exact) / Decimal(unit))
+
+
+@pytest.mark.parametrize("mu, sigma, t, fam", [
+    (0.0, 1.0, 1e9, ARB),  # (s + hypot(sigma, s)) / 2 with s = mu - t < 0 gave 0.0
+    (1.0, 1.0, 1e9, NN),  # the same form, the non-negative family's last branch
+    (-1e308, 1e300, 1e308, ARB),  # hypot(sigma, s) - s beyond the floats
+    (-1e308, 1e10, 1e308, ARB),  # s itself beyond the floats
+    (1.0, 3e-16, 1.0, SYM),  # (mu + sigma - t) / 2 gave 1.11e-16 for 1.5e-16
+    (-4.42e180, 1.24e165, -4.42e180, SYM),  # and 4.61e164 for 6.19e164
+    (1e-200, 1e-40, 1e119, NN),  # mu^2 underflows: 1e-200 for 9e-201
+    (2.382486707483291e-107, 4.735657137540217e-121, 1.458900599632013e-116, NN),  # mu^2 t does
+    # (sigma^2 + mu^2) underflows in the split, which sent t to the last branch
+    (1.6188774670849791e-260, 8.061910743270526e-250, 8.690783507168934e-250, NN),
+])
+def test_regret_forms_that_cancelled_are_accurate(mu, sigma, t, fam):
+    assert regret_ulps(mu, sigma, t, fam) <= 4.0
+
+
+@pytest.mark.parametrize("fam", [ARB, SYM, NN])
+def test_regret_is_within_four_ulps_over_the_floats(fam):
+    # magnitudes 1e-300 to 1e300, thresholds near mu, near the symmetric
+    # band's edges and anywhere; every branch of the arbitrary and
+    # non-negative forms, and the symmetric middle band where it is the
+    # branch taken, are within 4 ulps of a 60-digit reference wherever the
+    # exact value is a normal float
+    rng = np.random.default_rng(22)
+    checked = 0
+    for _ in range(1500):
+        mu, sigma, t = rng.choice((-1.0, 1.0), size=3) * 10.0 ** rng.uniform(-300, 300, size=3)
+        mu, sigma = float(abs(mu) if fam is NN else mu), float(abs(sigma))
+        u = rng.random()
+        if u < 0.3:
+            t = mu + float(rng.normal()) * sigma
+        elif u < 0.5:
+            t = mu + float(rng.choice((-0.5, 0.5))) * sigma * (1.0 + float(rng.normal()) * 1e-15)
+        elif u < 0.6:
+            t = mu * (1.0 + float(rng.normal()) * 1e-12)
+        t = float(t)
+        if fam is SYM:
+            # the band only, where it is also the branch taken: the outer
+            # branches' underflow and the band's rounded edges are still open
+            got = wc_expected_regret(profile(mu, sigma), t, fam).regime
+            if {exact_regret(mu, sigma, t, fam)[0], got} != {BAND}:
+                continue
+        err = regret_ulps(mu, sigma, t, fam)
+        if err is not None:
+            assert err <= 4.0, (mu, sigma, t)
+            checked += 1
+    assert checked >= 400
+
+
+def test_symmetric_core_is_the_public_evaluators_bit_for_bit():
+    # the portfolio rules call _symmetric_value with floats; the public
+    # evaluators must return the same bits, the same regime and the same
+    # error class (None is an empty set), in every budget regime, on either
+    # side of mu, exactly on the floor, below it, and beyond the floats
+    rng = np.random.default_rng(22)
+    cases = [(0.0, 0.0, 1.0, None), (0.0, math.nan, 1.0, 1.0), (1e200, 1.0, -1e200, None)]
+    cases += [(0.0, 1e200, 1.0, 2.0), (1e200, 1.0, -1e200, 1.0), (0.0, 2.0, 2.0, 2.0)]
+    for _ in range(3000):
+        mu = float(rng.normal())
+        sigma = float(10.0 ** rng.uniform(-3, 1))
+        t = mu + float(rng.uniform(-3.0, 3.0)) * sigma
+        floor = max(t - mu, 0.0)
+        lam = rng.choice([None, floor, 0.5 * floor, floor + float(rng.exponential()) * sigma])
+        cases.append((mu, sigma, t, None if lam is None else float(lam) or None))
+
+    def outcome(call):
+        try:
+            r = call()
+        except WctsvError as exc:
+            return type(exc)
+        if r is None:
+            return EmptyUncertaintySet
+        value, regime = r if isinstance(r, tuple) else (r.value, r.regime)
+        return value.hex(), regime
+
+    seen = set()
+    for mu, sigma, t, lam in cases:
+        core = outcome(lambda: _symmetric_value(mu, sigma, t, lam))
+        public = outcome(
+            lambda: wc_target_semivariance_constrained(profile(mu, sigma), t, lam, SYM)
+        )
+        assert core == public, (mu, sigma, t, lam)
+        if lam is None:
+            assert outcome(lambda: wc_target_semivariance(profile(mu, sigma), t, SYM)) == core
+        seen.add(core[1] if isinstance(core, tuple) else core)
+    assert {EmptyUncertaintySet, InvalidProfile, "lambda == (mu-t)_-"} <= seen
+    assert {"t <= mu - sigma", "mu - sigma < t <= mu", "t > mu"} <= seen
+    assert {f"{case}; t>mu" for case in ("sigma<=m", "m<sigma<=2m", "sigma>2m")} <= seen
+    assert {"sigma<=m; t<=mu-sigma", "sigma<=m; mu-sigma<t<=mu"} <= seen  # budget slack
+    assert {"m<sigma<=2m; mu+sigma-2m<t<=mu", "m<sigma<=2m; t<=mu+sigma-2m"} <= seen
+    assert "sigma>2m; t<=mu" in seen  # budget binds
+
+
 @pytest.mark.parametrize("huge", [1e160, 1e300])
 def test_huge_moments_in_the_membership_and_reflection_raise_invalid_profile(huge):
     # exactly on the floor the non-negative membership test squares sigma
@@ -475,6 +598,6 @@ def test_symmetric_slope_is_the_derivative_inside_each_regime(
     # the regimes are cut out by lines in (mu, sigma), so equal tags at the
     # ends put the whole path in one regime
     assume(lo.regime == mid.regime == hi.regime)
-    slope = _symmetric_slope(profile(mu, sigma), t, lam, d_sigma)
+    slope = _symmetric_slope(mu, sigma, t, lam, d_sigma)
     assert slope == pytest.approx((hi.value - lo.value) / (2.0 * k), rel=1e-7, abs=1e-9)
 
