@@ -1,4 +1,5 @@
-"""Minimum-variance frontier segments and the short-selling-allowed solvers.
+"""Minimum-variance frontier segments, the short-selling-allowed solvers and
+the two exact minimizers every portfolio rule uses.
 
 Every portfolio rule minimizes a function of the expected loss ``xi`` and
 the variance ``V`` along a minimum-variance frontier, and both frontiers
@@ -8,17 +9,22 @@ two-fund parabola, a single segment unbounded below (Merton 1972);
 long-only it is the chain walked by :func:`wctsv.simplex._long_only_frontier`,
 which starts from that segment and shares its first piece when the global
 minimum-variance portfolio holds every asset.
-Two exact minimizers serve all five rules.  TSV and EEP_TSV keep the sign
-rule :func:`_tsv_minimizer` (the sign of ``f'`` for
+Two exact minimizers serve all five rules, and both live here.  TSV and
+EEP_TSV keep the sign rule :func:`_tsv_minimizer` (the sign of ``f'`` for
 ``f = V + (xi - t)_+^2``, exact by convexity).  The two symmetric rules,
-M_TSV_S and EEP_TSV_S, keep the first smallest of the exact candidates of
-:func:`_segment_candidates`, and :func:`_certify_slopes` checks either
-winner by the objective's one-sided slopes along the frontier.
+M_TSV_S and EEP_TSV_S, keep :func:`_symmetric_minimizer`: the first
+smallest of the exact candidates of :func:`_segment_candidates`, with the
+tangent stop of :func:`_tangent_profiles` for a chain that runs on below a
+segment, and :func:`_certify_slopes` checks either winner by the
+objective's one-sided slopes along the frontier.  :mod:`wctsv.simplex`
+keeps only what is long-only: the walk, the clip and rebuild of a winner's
+weights, and the frontier KKT check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +50,11 @@ DEGENERACY_TOL = 1e-12
 SIGMA_FLOOR = 1e-12
 KKT_TOL = 1e-8
 VALUE_TIE = 1e-13
+# the tangent stop's relative room for the rounding of V, whose root scores
+# the candidates, as the bound at a segment's low end ties the next segment's
+# first point; the bound exceeds a later value by up to 1.6e-9 of it on steep
+# long-only frontiers (means 1e-6 of their size apart), 2.3e-15 on the others
+STOP_MARGIN = 1e-8
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
@@ -286,6 +297,69 @@ def _segment_candidates(
     return xs
 
 
+def _tangent_profiles(
+    seg: _Segment, sigma: float, bottom: float, t: float, lam: float | None
+) -> Iterator[tuple[float, float]]:
+    """Where the objective can be least on the tangent below ``seg``, as
+    ``(xi, sigma)`` pairs.
+
+    ``sigma(xi)`` is convex along a minimum-variance frontier (a partial
+    minimization of a norm), so every later point, from ``seg.lo``
+    (``sigma`` there) down to ``bottom``, and every vertex at ``bottom`` has
+    ``sigma >= sigma + slope (xi - seg.lo)`` with ``slope =
+    min(V'(seg.lo) / (2 sigma), 0)``.  Every branch is non-decreasing in
+    ``xi`` and ``sigma``, so the objective's least value along that line,
+    on ``[min(bottom, seg.lo), seg.lo]``, bounds all of them from below.
+    The line is a segment whose ``V`` is a perfect square, so
+    :func:`_segment_candidates` yields its exact minimizers.
+    """
+    slope = min((2.0 * seg.a * (seg.lo - seg.hi) + seg.b) / (2.0 * sigma), 0.0)
+    line = _Segment(
+        seg.free, seg.p, seg.q, min(bottom, seg.lo), seg.lo, slope * slope, 2.0 * sigma * slope,
+        sigma * sigma,
+    )
+    for x in _segment_candidates(line, line.lo, line.hi, t, lam):
+        yield x, sigma + slope * (x - line.hi)
+
+
+def _symmetric_minimizer(
+    pieces: Iterable[tuple[_Segment, float, float]], t: float, lam: float | None,
+    bottom: float, vertices: Iterable[tuple[float, float, np.ndarray]] = (),
+) -> tuple[float, _Segment, float, np.ndarray | None] | None:
+    """The first smallest symmetric worst case along a frontier, as ``(value,
+    segment, xi, weights or None)``; None when every candidate's set is empty.
+
+    ``pieces`` are ``(segment, lo, hi)`` ranges running down the frontier
+    to ``bottom``.  Each piece's candidates, those of
+    :func:`_segment_candidates`, are scored in chain order by the closed form
+    at ``sigma = sqrt(V)`` of their segment; such a winner comes back
+    without weights, for the caller to build.  After a piece whose low end
+    is above ``bottom`` the walk stops once the objective exceeds the best
+    value by ``STOP_MARGIN`` relative at every point of
+    :func:`_tangent_profiles`, the exact lower bound on every later point
+    and vertex, so none can win.  When the walk ends without a stop,
+    ``vertices``, ``(xi, sigma, weights)`` triples at ``bottom``, are scored
+    too and credited to the last piece's segment.
+    """
+    best = None
+    for seg, lo, hi in pieces:
+        for x in _segment_candidates(seg, lo, hi, t, lam):
+            r = _symmetric_value(x, seg.sigma(x), t, lam)
+            if r is not None and (best is None or r[0] < best[0]):
+                best = (r[0], seg, x, None)
+        if best is not None and lo > bottom:
+            limit = best[0] * (1.0 + STOP_MARGIN)
+            tangent = _tangent_profiles(seg, seg.sigma(seg.lo), bottom, t, lam)
+            below = (_symmetric_value(x, sigma, t, lam) for x, sigma in tangent)
+            if all(r is not None and r[0] > limit for r in below):
+                return best
+    for xi, sigma, w in vertices:
+        r = _symmetric_value(xi, sigma, t, lam)
+        if r is not None and (best is None or r[0] < best[0]):
+            best = (r[0], seg, xi, w)
+    return best
+
+
 def _certify_slopes(
     seg: _Segment, xi: float, f: float, t: float, lam: float | None,
     bottom: float, top: float, spread: float,
@@ -330,21 +404,20 @@ def m_tsv_s_portfolio(fp: FrontierParams, m: MarketModel, nu: float, t: float) -
     every branch is non-decreasing in each.  Below ``t`` the objective is
     ``sigma^2 / 2``, which falls toward ``v1/v0``, so nothing below
     ``min(t, hi)`` can win.  The answer is the first smallest of the exact
-    candidates of :func:`_segment_candidates` on ``[min(t, hi), hi]``,
-    checked by :func:`_certify_slopes` on the whole feasible frontier.  The
-    regime is where it lies: (i) ``t >= nu``, every feasible point at or
-    below the threshold; (ii) at or below ``t``; (iii) above ``t``.
+    candidates of :func:`_segment_candidates` on ``[min(t, hi), hi]``: the
+    segment cut to that range is the one piece :func:`_symmetric_minimizer`
+    walks, with ``bottom = min(t, hi)``, so its tangent stop never runs.
+    :func:`_certify_slopes` checks the answer on the whole feasible
+    frontier.  The regime is where it lies: (i) ``t >= nu``, every feasible
+    point at or below the threshold; (ii) at or below ``t``; (iii) above
+    ``t``.
     """
     if not (math.isfinite(nu) and math.isfinite(t)):
         raise InvalidThreshold(f"loss cap and threshold must be finite, got {nu} and {t}")
-
-    def h(xi: float) -> float:
-        return _symmetric_value(xi, math.sqrt(fp.variance_at(xi)), t, None)[0]
-
     seg = fp.segment
     hi = min(nu, seg.hi)
-    xs = _segment_candidates(seg, min(t, hi), hi, t, None)
-    value, xi = min(((h(x), x) for x in xs), key=lambda p: p[0])
+    lo = min(t, hi)
+    value, _, xi, _ = _symmetric_minimizer([(seg, lo, hi)], t, None, lo)
     spread = float(m.mu_vec.max() - m.mu_vec.min())
     _certify_slopes(seg, xi, value, t, None, -math.inf, hi, spread)
     tag = "i" if t >= nu else "ii" if xi <= t else "iii"

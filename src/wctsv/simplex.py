@@ -17,13 +17,14 @@ unconstrained global minimum-variance portfolio is long-only, Merton's
 two-fund segment, cut at its first corner, is the chain's first segment
 and costs no solve; otherwise the walk finds the long-only global
 minimum-variance portfolio by active-set steps on its own first KKT
-solves, so no separate QP runs.  Both solvers use the exact minimizers the
-short-selling rules use: EEP_TSV the sign rule of
-:func:`wctsv.frontier._tsv_minimizer`, like TSV; EEP_TSV_S the first
-smallest of :func:`wctsv.frontier._segment_candidates`, like M_TSV_S, each
-candidate scored by the closed form at ``sigma = sqrt(V)`` of its segment,
-so that only the winner's weights are built.  Segment weights are clipped
-at 0 here, where the frontier is long-only.
+solves, so no separate QP runs.  Both solvers use the exact minimizers of
+:mod:`wctsv.frontier` that the short-selling rules use: EEP_TSV the sign
+rule :func:`wctsv.frontier._tsv_minimizer`, like TSV; EEP_TSV_S the one
+symmetric minimizer :func:`wctsv.frontier._symmetric_minimizer`, like
+M_TSV_S, which scores each candidate by the closed form at ``sigma =
+sqrt(V)`` of its segment and holds the tangent stop.  This module keeps
+only what is long-only: the walk, the clip at 0 and rebuild of the
+winner's weights (only the winner's are built), and the frontier KKT check.
 The chain is walked lazily, one corner at a time, and keeps what it walked,
 so each rule walks only as far as its own stop: EEP_TSV down to its ``f'``
 sign change, EEP_TSV_S until an exact lower bound, the objective along the
@@ -48,12 +49,10 @@ from .errors import (
     NonConvergence,
 )
 from .frontier import (
-    KKT_TOL, SIGMA_FLOOR, MarketModel, Portfolio, _certify_slopes, _Segment, _segment_candidates,
+    KKT_TOL, SIGMA_FLOOR, MarketModel, Portfolio, _certify_slopes, _Segment, _symmetric_minimizer,
     _tsv_minimizer, frontier_params,
 )
-from .worst_case import (
-    Family, MomentProfile, _symmetric_value, wc_target_semivariance_constrained,
-)
+from .worst_case import Family, MomentProfile, wc_target_semivariance_constrained
 
 __all__ = [
     "check_regret_feasibility",
@@ -63,11 +62,6 @@ __all__ = [
 ]
 
 ACTIVE_TOL = 1e-12
-# EEP_TSV_S's early stop: relative room for the rounding of V, whose root
-# scores the candidates, as the bound at a segment's low end ties the next
-# segment's first point; the bound exceeds a later value by up to 1.6e-9 of it
-# on steep frontiers (means 1e-6 of their size apart), 2.3e-15 on the others
-STOP_MARGIN = 1e-8
 
 
 def check_regret_feasibility(m: MarketModel, t: float, lam: float) -> bool:
@@ -363,79 +357,27 @@ def eep_tsv_portfolio(
     )
 
 
-def _certify_symmetric(
-    seg: _Segment, top: float, w: np.ndarray, p: MomentProfile, f: float,
-    m: MarketModel, t: float, lam: float,
-) -> None:
-    """Raise :class:`NonConvergence` unless EEP_TSV_S's winner ``w`` (at
-    ``p``, value ``f``, scored on ``seg``) passes an exact first-order
-    optimality check.
-
-    Value 0 is a global minimum, since the objective is never negative.
-    Otherwise the KKT conditions of ``min w^T cov w + kappa mu^T w`` must
-    hold at ``kappa = -V'(xi)`` on ``seg``.  Then no feasible direction
-    moves ``sigma`` less than the frontier does for the same change in
-    ``xi``, so it remains for :func:`wctsv.frontier._certify_slopes` to
-    check the objective's one-sided slopes along the chain, from
-    ``xi = min mu`` to its ``top``.
-    """
-    if f == 0.0:
-        return
-    mu = m.mu_vec
-    bottom = float(mu.min())
-    xi = p.mu
-    dv = 2.0 * seg.a * (xi - seg.hi) + seg.b
-    residual = _kkt_residual(w, 2.0 * m.cov @ w - dv * mu)
-    if residual > KKT_TOL:
-        raise NonConvergence(f"frontier KKT residual {residual:.3e} above {KKT_TOL}")
-    _certify_slopes(seg, xi, f, t, lam, bottom, top, float(mu.max()) - bottom)
-
-
-def _tangent_profiles(
-    seg: _Segment, sigma: float, bottom: float, t: float, lam: float
-) -> Iterator[tuple[float, float]]:
-    """Where the objective can be least on the tangent below ``seg``, as
-    ``(xi, sigma)`` pairs.
-
-    ``sigma(xi)`` is convex along the long-only frontier (a partial
-    minimization of a norm), so every later point, from ``seg.lo``
-    (``sigma`` there) down to ``bottom = min mu``, and every vertex at
-    ``min mu`` has ``sigma >= sigma + slope (xi - seg.lo)`` with ``slope =
-    min(V'(seg.lo) / (2 sigma), 0)``.  Every branch is non-decreasing in
-    ``xi`` and ``sigma``, so the objective's least value along that line,
-    on ``[min(bottom, seg.lo), seg.lo]``, bounds all of them from below.
-    The line is a segment whose ``V`` is a perfect square, so
-    :func:`wctsv.frontier._segment_candidates` yields its exact minimizers.
-    """
-    slope = min((2.0 * seg.a * (seg.lo - seg.hi) + seg.b) / (2.0 * sigma), 0.0)
-    line = _Segment(
-        seg.free, seg.p, seg.q, min(bottom, seg.lo), seg.lo, slope * slope, 2.0 * sigma * slope,
-        sigma * sigma,
-    )
-    for x in _segment_candidates(line, line.lo, line.hi, t, lam):
-        yield x, sigma + slope * (x - line.hi)
-
-
 def eep_tsv_s_portfolio(
     m: MarketModel, t: float, lam: float, frontier: Sequence[_Segment] | None = None
 ) -> Portfolio:
     """Long-only minimizer of the budgeted symmetric-family worst case.
 
-    The candidates are those of :func:`wctsv.frontier._segment_candidates`
-    on each segment of the long-only frontier (``frontier``, walked here
-    when not given) in chain order, then the vertices at ``min mu`` (where
-    the exact-equality floor branch can fire; above the floor every other
-    vertex is dominated by a frontier point with no larger ``xi`` or
-    ``sigma``).  A candidate is scored by the closed form at ``sigma =
-    sqrt(V)`` of its segment, a vertex at its own weights, and the first
-    smallest wins; only the winner's weights are rebuilt.  The walk stops
-    after a segment once the objective exceeds the best value by
-    ``STOP_MARGIN`` relative at every point of :func:`_tangent_profiles`,
-    the exact lower bound on every later point, the vertices included, so
-    none can win.
-    :func:`_certify_symmetric` checks the winner's first-order optimality
-    exactly at its rebuilt weights, on the segment it was scored on; a
-    vertex is checked on the last segment, which ends at ``min mu``.
+    :func:`wctsv.frontier._symmetric_minimizer` walks the long-only frontier
+    (``frontier``, walked here when not given) toward ``min mu`` with its
+    tangent stop and, if the walk gets there, scores the vertices at ``min
+    mu`` at their own weights (where the exact-equality floor branch can
+    fire; above the floor every other vertex is dominated by a frontier
+    point with no larger ``xi`` or ``sigma``).  Only the winner's weights
+    are rebuilt, clipped at 0, and the portfolio is reported at them.  Its
+    first-order optimality is then checked exactly, on the segment it was
+    scored on (a vertex on the last segment, which ends at ``min mu``).
+    Value 0 is a global minimum, since the objective is never negative.
+    Otherwise the KKT conditions of ``min w^T cov w + kappa mu^T w`` must
+    hold at ``kappa = -V'(xi)``; then no feasible direction moves ``sigma``
+    less than the frontier does for the same change in ``xi``, so it
+    remains for :func:`wctsv.frontier._certify_slopes` to check the
+    objective's one-sided slopes along the chain, from ``xi = min mu`` to
+    its top.
     """
     _require_feasible(m, t, lam)
     mu, cov = m.mu_vec, m.cov
@@ -443,28 +385,14 @@ def eep_tsv_s_portfolio(
     bottom = float(mu.min())
     chain = frontier if frontier is not None else _long_only_frontier(m, _short_selling_top(m))
 
-    def profile(w: np.ndarray) -> MomentProfile:
-        sigma = max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
-        return MomentProfile(float(w @ mu), sigma)
+    def moments(w: np.ndarray) -> tuple[float, float]:
+        return float(w @ mu), max(math.sqrt(max(float(w @ cov @ w), 0.0)), SIGMA_FLOOR)
 
-    best = None  # (value, segment, xi, weights or None)
-    for seg in chain:
-        for x in _segment_candidates(seg, seg.lo, seg.hi, t, lam):
-            r = _symmetric_value(x, seg.sigma(x), t, lam)
-            if r is not None and (best is None or r[0] < best[0]):
-                best = (r[0], seg, x, None)
-        if best is not None:
-            limit = best[0] * (1.0 + STOP_MARGIN)
-            tangent = _tangent_profiles(seg, seg.sigma(seg.lo), bottom, t, lam)
-            below = (_symmetric_value(x, sigma, t, lam) for x, sigma in tangent)
-            if all(r is not None and r[0] > limit for r in below):
-                break
-    else:
+    def vertices() -> Iterator[tuple[float, float, np.ndarray]]:
         for w in np.eye(d)[mu == bottom]:
-            p = profile(w)
-            r = _symmetric_value(p.mu, p.sigma, t, lam)
-            if r is not None and (best is None or r[0] < best[0]):
-                best = (r[0], seg, p.mu, w)  # the walk has ended: seg is the last, down to min mu
+            yield (*moments(w), w)
+
+    best = _symmetric_minimizer(((s, s.lo, s.hi) for s in chain), t, lam, bottom, vertices())
     if best is None:
         raise EmptyUncertaintySet(
             f"no simplex portfolio has a non-empty symmetric set at t={t}, lambda={lam}"
@@ -472,13 +400,12 @@ def eep_tsv_s_portfolio(
     _, seg, x, w = best
     if w is None:
         w = np.maximum(seg.weights(d, x), 0.0)
-    p = profile(w)
+    p = MomentProfile(*moments(w))
     r = wc_target_semivariance_constrained(p, t, lam, Family.SYMMETRIC)
-    _certify_symmetric(seg, chain[0].hi, w, p, r.value, m, t, lam)
-    return Portfolio(
-        weights=w,
-        expected_loss=p.mu,
-        stdev=p.sigma,
-        objective=r.value,
-        regime=r.regime,
-    )
+    if r.value != 0.0:
+        dv = 2.0 * seg.a * (p.mu - seg.hi) + seg.b
+        residual = _kkt_residual(w, 2.0 * cov @ w - dv * mu)
+        if residual > KKT_TOL:
+            raise NonConvergence(f"frontier KKT residual {residual:.3e} above {KKT_TOL}")
+        _certify_slopes(seg, p.mu, r.value, t, lam, bottom, chain[0].hi, float(mu.max()) - bottom)
+    return Portfolio(w, p.mu, p.sigma, r.value, r.regime)

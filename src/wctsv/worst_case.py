@@ -143,8 +143,9 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
     Forms that cancel are evaluated in a stable arrangement instead: the
     middle band as ``((mu - t) + sigma) / 2``, and the arbitrary value for
     ``s = mu - t < 0`` as ``sigma (sigma / (hypot(sigma, s) - s)) / 2``.
-    Where a square or a product in one of these forms leaves the floats, or
-    a square of the non-negative forms falls below the normal floats, the
+    The symmetric band's edges are tested on ``s`` itself, so they do not
+    round with ``mu``.  Where a square, a sum or a product in one of these
+    forms leaves the floats, or a square falls below the normal floats, the
     same quantity is evaluated rescaled, so a finite supremum is returned
     even then; elsewhere the forms are evaluated as written.
     """
@@ -153,21 +154,24 @@ def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValu
     if fam is Family.ARBITRARY:
         return WorstCaseValue(_arbitrary_regret(mu, sg, t), "all t")
     if fam is Family.SYMMETRIC:
-        if t < mu - sg / 2.0:
-            s = mu - t
+        # the band's edges compare s = mu - t with sigma/2 as 2 s against
+        # sigma, exactly: mu -/+ sigma/2 rounds where sigma is far below mu
+        s = mu - t
+        if 2.0 * s > sg:
             try:
                 val = (8.0 * s ** 2 + sg * sg) / (8.0 * s)
             except OverflowError:
                 val = math.inf
-            if not math.isfinite(val):
+            if not (math.isfinite(val) and s * s >= _TINY):
                 val = s + sg / 8.0 * (sg / s)
             return WorstCaseValue(val, "t < mu - sigma/2")
-        if t < mu + sg / 2.0:
-            return WorstCaseValue(0.5 * ((mu - t) + sg), "mu - sigma/2 <= t < mu + sigma/2")
-        if t == mu:  # sigma/2 is below mu's rounding: t is mid-band, not past it
-            return WorstCaseValue(0.5 * sg, "mu - sigma/2 <= t < mu + sigma/2")
-        sq, d = sg * sg, 8.0 * (t - mu)
-        val = sq / d if max(sq, d) < math.inf else sg / 16.0 * (sg / (0.5 * t - 0.5 * mu))
+        if 2.0 * s > -sg:
+            val = 0.5 * (s + sg)
+            val = val if val < math.inf else 0.5 * s + 0.5 * sg
+            return WorstCaseValue(val, "mu - sigma/2 <= t < mu + sigma/2")
+        sq, d = sg * sg, -8.0 * s
+        ok = _TINY <= sq and max(sq, d) < math.inf
+        val = sq / d if ok else sg / 16.0 * (sg / (0.5 * t - 0.5 * mu))
         return WorstCaseValue(val, "t >= mu + sigma/2")
     # non-negative support, mu > 0
     if t < 0.0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wctsv.backtest
+import wctsv.frontier
 from wctsv import DegenerateMeans, NonConvergence, TooFewRows
 from wctsv.backtest import (
     MODEL_ORDER,
@@ -286,7 +287,7 @@ def test_bundled_eep_tsv_s_builds_weights_for_its_winner_only(
     # per solve are recorded, and the 77 solves' total may not grow past the
     # count measured here (9.97, 9.94, 11.9 and 6.81 a solve)
     built, core = [], []
-    weights, value = _Segment.weights, wctsv.simplex._symmetric_value
+    weights, value = _Segment.weights, wctsv.frontier._symmetric_value
 
     def counting_weights(self, dim, xi):
         built.append(xi)
@@ -297,13 +298,37 @@ def test_bundled_eep_tsv_s_builds_weights_for_its_winner_only(
         return value(*args)
 
     monkeypatch.setattr(_Segment, "weights", counting_weights)
-    monkeypatch.setattr(wctsv.simplex, "_symmetric_value", counting_value)
+    monkeypatch.setattr(wctsv.frontier, "_symmetric_value", counting_value)
     res = run_backtest(bundled_losses(), BacktestConfig(models=("EEP_TSV_S",), **setting))
     assert res.failures == ()
     solves = len(res.oos_dates)
     record_property("core_calls_per_solve", len(core) / solves)
     assert len(built) <= solves
     assert len(core) <= calls
+
+
+@pytest.mark.parametrize("setting, calls", [
+    ({}, 231),
+    ({"t": -0.001, "nu": -0.0003}, 347),
+    ({"t": -0.0005, "nu": -0.0003, "lam": 0.002}, 305),
+    ({"t": 0.0, "lam": 0.003}, 154),
+])
+def test_bundled_m_tsv_s_scores_its_cut_piece_only(monkeypatch, setting, calls):
+    # M_TSV_S scores the candidates of its one feasible piece of the
+    # short-selling segment, [min(t, hi), hi], and nothing else: the shared
+    # symmetric minimizer runs no tangent bound below that piece, so the 77
+    # solves make exactly this many closed-form calls (3.00, 4.51, 3.96 and 2.00
+    # a solve)
+    core, value = [], wctsv.frontier._symmetric_value
+
+    def counting_value(*args):
+        core.append(args)
+        return value(*args)
+
+    monkeypatch.setattr(wctsv.frontier, "_symmetric_value", counting_value)
+    res = run_backtest(bundled_losses(), BacktestConfig(models=("M_TSV_S",), **setting))
+    assert res.failures == () and len(res.oos_dates) == 77
+    assert len(core) == calls
 
 
 SOLVERS = (

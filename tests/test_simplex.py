@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import wctsv.simplex
+import wctsv.frontier
 from wctsv import (
     EmptyUncertaintySet,
     Family,
@@ -19,18 +19,21 @@ from wctsv import (
     wc_target_semivariance,
     wc_target_semivariance_constrained,
 )
-from wctsv.frontier import KKT_TOL, MarketModel
+from wctsv.frontier import (
+    KKT_TOL,
+    STOP_MARGIN,
+    MarketModel,
+    _segment_candidates,
+    _tangent_profiles,
+)
 from wctsv.simplex import (
     ACTIVE_TOL,
     SIGMA_FLOOR,
-    STOP_MARGIN,
     _Chain,
     _critical_line,
     _kkt_residual,
     _long_only_frontier,
-    _segment_candidates,
     _short_selling_top,
-    _tangent_profiles,
     check_regret_feasibility,
     eep_tsv_portfolio,
     eep_tsv_s_portfolio,
@@ -270,7 +273,7 @@ def test_certificate_rejects_ends_only_candidates(monkeypatch):
     assert len(interior) >= 15
 
     monkeypatch.setattr(
-        wctsv.simplex, "_segment_candidates", lambda *args: _segment_candidates(*args)[:2]
+        wctsv.frontier, "_segment_candidates", lambda *args: _segment_candidates(*args)[:2]
     )
     for m, t, lam in interior:
         with pytest.raises(NonConvergence):

@@ -342,18 +342,27 @@ def regret_ulps(mu, sigma, t, fam):
     (2.382486707483291e-107, 4.735657137540217e-121, 1.458900599632013e-116, NN),  # mu^2 t does
     # (sigma^2 + mu^2) underflows in the split, which sent t to the last branch
     (1.6188774670849791e-260, 8.061910743270526e-250, 8.690783507168934e-250, NN),
+    # (mu - t)^2 underflows in the symmetric left branch, which gave 0.0
+    (4.666654827152399e-190, 1.1960567393199836e-240, 7.021460095365597e-268, SYM),
+    # mu + sigma/2 rounds to t, which took the right branch (1.812e50, not 1.669e50)
+    (-1.3985118770764997e66, 5.208138546398679e50, -1.3985118770764995e66, SYM),
+    # sigma^2 underflows in the symmetric right branch, which gave 0.0
+    (4.523704521953274e-251, 2.487900921901381e-229, 1.2439504609506908e-229, SYM),
+    # (mu - t) + sigma overflows in the band, which raised for a value of 1e308
+    (0.0, 1.5e308, -5e307, SYM),
 ])
 def test_regret_forms_that_cancelled_are_accurate(mu, sigma, t, fam):
     assert regret_ulps(mu, sigma, t, fam) <= 4.0
+    if fam is SYM:
+        got = wc_expected_regret(profile(mu, sigma), t, fam).regime
+        assert got == exact_regret(mu, sigma, t, fam)[0]
 
 
 @pytest.mark.parametrize("fam", [ARB, SYM, NN])
 def test_regret_is_within_four_ulps_over_the_floats(fam):
     # magnitudes 1e-300 to 1e300, thresholds near mu, near the symmetric
-    # band's edges and anywhere; every branch of the arbitrary and
-    # non-negative forms, and the symmetric middle band where it is the
-    # branch taken, are within 4 ulps of a 60-digit reference wherever the
-    # exact value is a normal float
+    # band's edges and anywhere; every branch of every family is within 4
+    # ulps of a 60-digit reference wherever the exact value is a normal float
     rng = np.random.default_rng(22)
     checked = 0
     for _ in range(1500):
@@ -367,17 +376,11 @@ def test_regret_is_within_four_ulps_over_the_floats(fam):
         elif u < 0.6:
             t = mu * (1.0 + float(rng.normal()) * 1e-12)
         t = float(t)
-        if fam is SYM:
-            # the band only, where it is also the branch taken: the outer
-            # branches' underflow and the band's rounded edges are still open
-            got = wc_expected_regret(profile(mu, sigma), t, fam).regime
-            if {exact_regret(mu, sigma, t, fam)[0], got} != {BAND}:
-                continue
         err = regret_ulps(mu, sigma, t, fam)
         if err is not None:
             assert err <= 4.0, (mu, sigma, t)
             checked += 1
-    assert checked >= 400
+    assert checked >= 1200
 
 
 def test_symmetric_core_is_the_public_evaluators_bit_for_bit():
