@@ -52,7 +52,7 @@ from .frontier import (
     KKT_TOL, SIGMA_FLOOR, MarketModel, Portfolio, _certify_slopes, _Segment, _symmetric_minimizer,
     _tsv_minimizer, frontier_params,
 )
-from .worst_case import Family, MomentProfile, wc_target_semivariance_constrained
+from .worst_case import _ON_FLOOR, Family, MomentProfile, wc_target_semivariance_constrained
 
 __all__ = [
     "check_regret_feasibility",
@@ -91,6 +91,32 @@ def project_to_simplex(v) -> np.ndarray:
 
 def _budget_floor(m: MarketModel, t: float) -> float:
     return max(t - float(m.mu_vec.min()), 0.0)
+
+
+def _floor_vertex(
+    m: MarketModel, t: float, lam: float, cap: float, regime: str
+) -> Portfolio | None:
+    """The answer when the budget sits exactly on its floor ``t - min mu``.
+
+    There every member of a portfolio's set has ``X <= t``, so a portfolio
+    whose set is non-empty scores 0, a global minimum since neither
+    objective is negative.  Returns the first unit portfolio at ``min mu``
+    whose standard deviation is at most ``cap``, at value 0, or None above
+    the floor or when none fits.  Exact float equality on purpose: the
+    supremum really jumps to 0 on the floor, and just above it takes its
+    positive value, so no tolerance band belongs here.
+    """
+    mu = m.mu_vec
+    bottom = float(mu.min())
+    if lam != t - bottom:  # lam > 0, so this is lam != (t - min mu)_+
+        return None
+    for j in np.flatnonzero(mu == bottom).tolist():
+        stdev = math.sqrt(float(m.cov[j, j]))
+        if stdev <= cap:
+            w = np.zeros(m.dim)
+            w[j] = 1.0
+            return Portfolio(w, float(mu[j]), stdev, 0.0, regime)
+    return None
 
 
 def _require_feasible(m: MarketModel, t: float, lam: float) -> None:
@@ -318,26 +344,13 @@ def eep_tsv_portfolio(
     to the first segment whose lower end has ``f' <= 0``.  The KKT conditions over the
     simplex are checked at the result to ``KKT_TOL``.  When the budget sits
     exactly on its floor the binding vertex is the whole feasible story and
-    the objective collapses to 0.
+    the objective collapses to 0 (:func:`_floor_vertex`).
     """
     _require_feasible(m, t, lam)
+    floor = _floor_vertex(m, t, lam, math.inf, "lambda == (xi-t)_-")
+    if floor is not None:
+        return floor
     mu, cov = m.mu_vec, m.cov
-    floor = _budget_floor(m, t)
-    # Exact float equality on purpose: the supremum really jumps to 0 on the
-    # floor (every member has X <= t), and just above it takes its positive
-    # value, so no tolerance band belongs here.
-    if lam == floor and floor > 0.0:
-        j = int(np.argmin(mu))
-        w = np.zeros(m.dim)
-        w[j] = 1.0
-        return Portfolio(
-            weights=w,
-            expected_loss=float(mu[j]),
-            stdev=math.sqrt(float(cov[j, j])),
-            objective=0.0,
-            regime="lambda == (xi-t)_-",
-        )
-
     chain = frontier if frontier is not None else _long_only_frontier(m, _short_selling_top(m))
     seg, root = _tsv_minimizer(chain, t)
     w = np.maximum(seg.weights(m.dim, root), 0.0)
@@ -362,16 +375,19 @@ def eep_tsv_s_portfolio(
 ) -> Portfolio:
     """Long-only minimizer of the budgeted symmetric-family worst case.
 
-    :func:`wctsv.frontier._symmetric_minimizer` walks the long-only frontier
-    (``frontier``, walked here when not given) toward ``min mu`` with its
-    tangent stop and, if the walk gets there, scores the vertices at ``min
-    mu`` at their own weights (where the exact-equality floor branch can
-    fire; above the floor every other vertex is dominated by a frontier
-    point with no larger ``xi`` or ``sigma``).  Only the winner's weights
-    are rebuilt, clipped at 0, and the portfolio is reported at them.  Its
-    first-order optimality is then checked exactly, on the segment it was
-    scored on (a vertex on the last segment, which ends at ``min mu``).
-    Value 0 is a global minimum, since the objective is never negative.
+    When the budget sits exactly on its floor and a unit portfolio at ``min
+    mu`` fits its symmetric set (``sigma <= lam``), the first such one is
+    the answer, at value 0 (:func:`_floor_vertex`), and nothing is walked.
+    Otherwise :func:`wctsv.frontier._symmetric_minimizer` walks the
+    long-only frontier (``frontier``, walked here when not given) toward
+    ``min mu`` with its tangent stop and, if the walk gets there, scores the
+    vertices at ``min mu`` at their own weights (above the floor every other
+    vertex is dominated by a frontier point with no larger ``xi`` or
+    ``sigma``).  Only the winner's weights are rebuilt, clipped at 0, and
+    the portfolio is reported at them.  Its first-order optimality is then
+    checked exactly, on the segment it was scored on (a vertex on the last
+    segment, which ends at ``min mu``).  Value 0 is a global minimum, since
+    the objective is never negative.
     Otherwise the KKT conditions of ``min w^T cov w + kappa mu^T w`` must
     hold at ``kappa = -V'(xi)``; then no feasible direction moves ``sigma``
     less than the frontier does for the same change in ``xi``, so it
@@ -380,6 +396,9 @@ def eep_tsv_s_portfolio(
     its top.
     """
     _require_feasible(m, t, lam)
+    floor = _floor_vertex(m, t, lam, lam, _ON_FLOOR)
+    if floor is not None:
+        return floor
     mu, cov = m.mu_vec, m.cov
     d = m.dim
     bottom = float(mu.min())

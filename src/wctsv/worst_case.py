@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -45,8 +44,6 @@ __all__ = [
 
 # the budgeted regime exactly on the floor (mu - t)_-, where the supremum is 0
 _ON_FLOOR = "lambda == (mu-t)_-"
-# the least normal float: a square below it has lost digits to underflow
-_TINY = sys.float_info.min
 
 
 class Family(enum.Enum):
@@ -130,75 +127,89 @@ def _check_budget(lam: float) -> None:
 def wc_expected_regret(p: MomentProfile, t: float, fam: Family) -> WorstCaseValue:
     """Worst-case expected regret ``sup E[(X - t)_+]`` over the family.
 
-    Piecewise closed forms:
+    One form per branch, with ``s = mu - t``:
 
-    * arbitrary: ``(mu - t + sqrt(sigma^2 + (mu - t)^2)) / 2`` for all t;
-    * symmetric: ``((8(mu-t)^2 + sigma^2) / (8(mu-t))`` left of
-      ``mu - sigma/2``, ``(mu + sigma - t)/2`` in the middle band, and
-      ``sigma^2 / (8(t - mu))`` right of ``mu + sigma/2``;
-    * non-negative (mu > 0): ``mu - t`` for negative thresholds,
-      ``mu - mu^2 t / (sigma^2 + mu^2)`` up to ``(sigma^2 + mu^2)/(2 mu)``,
-      then the arbitrary-family value.
+    * arbitrary, every t: ``(s + hypot(sigma, s)) / 2``, evaluated as
+      :func:`_arbitrary_regret` does;
+    * symmetric, left of ``mu - sigma/2``: ``s + sigma^2 / (8 s)``, as
+      ``s + sigma/8 (sigma/s)``;
+    * symmetric, the band ``mu - sigma/2 <= t < mu + sigma/2``:
+      ``(s + sigma) / 2``, as ``s/2 + sigma/2``;
+    * symmetric, right of ``mu + sigma/2``: ``sigma^2 / (8 (t - mu))``, as
+      ``sigma/16 (sigma / (t/2 - mu/2))``;
+    * non-negative (mu > 0): ``mu - t`` for negative thresholds, then
+      ``mu - mu^2 t / (sigma^2 + mu^2)`` below the split
+      ``(sigma^2 + mu^2)/(2 mu)``, as ``mu - (t c / h) (mu/2)`` with ``h =
+      hypot(mu/2, sigma/2)`` and ``c = (mu/2) / h`` (``t c / h`` is ``t``
+      over the split, at most 1), and the arbitrary value from the split on;
+      the split is evaluated as ``mu/2 + sigma/2 (sigma/mu)``.
 
-    Forms that cancel are evaluated in a stable arrangement instead: the
-    middle band as ``((mu - t) + sigma) / 2``, and the arbitrary value for
-    ``s = mu - t < 0`` as ``sigma (sigma / (hypot(sigma, s) - s)) / 2``.
-    The symmetric band's edges are tested on ``s`` itself, so they do not
-    round with ``mu``.  Where a square, a sum or a product in one of these
-    forms leaves the floats, or a square falls below the normal floats, the
-    same quantity is evaluated rescaled, so a finite supremum is returned
-    even then; elsewhere the forms are evaluated as written.
+    No form squares an input, so each returns a finite supremum wherever it
+    is a float.  Error bounds, derived as in Higham (2002, section 3) with
+    unit roundoff ``u = 2^-53``, a hypot within one ulp (relative error
+    ``2u``) and no intermediate below the normal floats, include the
+    rounding of ``s`` itself.  A relative error of ``k u`` is below ``k``
+    ulps of the value:
+
+    * symmetric left branch: both terms are positive and the second is at
+      most half the first (``sigma < 2s``), so ``(s u + 3u sigma^2/(8s)) /
+      value + u <= 8u/3``: under 3 ulps;
+    * symmetric band: the value is at least ``sigma/4`` and ``|s|/2`` at
+      most ``sigma/4``, so ``|s|/2 u / value + u <= 2u``: under 2 ulps;
+    * symmetric right branch: three roundings in a product and a quotient:
+      under 3 ulps;
+    * non-negative, ``t < 0``: one rounding, half an ulp;
+    * non-negative middle branch: ``c`` is within ``3u``, and the product,
+      the quotient by ``h`` (within ``2u``) and the product with ``mu/2``
+      put the subtrahend within ``8u``; it is below ``mu/2`` and so below
+      the value, and the subtraction adds ``u``: under 9 ulps;
+    * non-negative, last branch: as the arbitrary family.
+
+    The branch is chosen on rounded ``s`` or split, but the value is
+    continuously differentiable across each edge (the symmetric slopes are
+    ``1/2`` on both sides of both band edges, the non-negative ones
+    ``-mu^2/(sigma^2 + mu^2)`` on both sides of the split), so a branch
+    chosen within rounding of its edge errs by ``O(u^2)`` only.  The band's
+    edges compare ``2 s`` with ``sigma`` exactly, so they do not round with
+    ``mu``.
     """
     _require_inputs(p, t, fam)
     mu, sg = p.mu, p.sigma
     if fam is Family.ARBITRARY:
         return WorstCaseValue(_arbitrary_regret(mu, sg, t), "all t")
     if fam is Family.SYMMETRIC:
-        # the band's edges compare s = mu - t with sigma/2 as 2 s against
-        # sigma, exactly: mu -/+ sigma/2 rounds where sigma is far below mu
         s = mu - t
         if 2.0 * s > sg:
-            try:
-                val = (8.0 * s ** 2 + sg * sg) / (8.0 * s)
-            except OverflowError:
-                val = math.inf
-            if not (math.isfinite(val) and s * s >= _TINY):
-                val = s + sg / 8.0 * (sg / s)
-            return WorstCaseValue(val, "t < mu - sigma/2")
+            return WorstCaseValue(s + sg / 8.0 * (sg / s), "t < mu - sigma/2")
         if 2.0 * s > -sg:
-            val = 0.5 * (s + sg)
-            val = val if val < math.inf else 0.5 * s + 0.5 * sg
-            return WorstCaseValue(val, "mu - sigma/2 <= t < mu + sigma/2")
-        sq, d = sg * sg, -8.0 * s
-        ok = _TINY <= sq and max(sq, d) < math.inf
-        val = sq / d if ok else sg / 16.0 * (sg / (0.5 * t - 0.5 * mu))
-        return WorstCaseValue(val, "t >= mu + sigma/2")
+            return WorstCaseValue(0.5 * s + 0.5 * sg, "mu - sigma/2 <= t < mu + sigma/2")
+        return WorstCaseValue(sg / 16.0 * (sg / (0.5 * t - 0.5 * mu)), "t >= mu + sigma/2")
     # non-negative support, mu > 0
     if t < 0.0:
         return WorstCaseValue(mu - t, "t < 0")
-    sq = sg * sg + mu * mu
-    split = sq / (2.0 * mu) if _TINY <= sq < math.inf else 0.5 * mu + 0.5 * sg * (sg / mu)
-    if t < split:
-        num = mu * mu * t
-        if max(num, sq) < math.inf and min(num, mu * mu) >= _TINY:
-            val = mu - num / sq
-        else:  # mu^2 t / sq as t / (1 + k^2), k = sigma / mu, or t / k / k if k^2 overflows
-            k = sg / mu
-            val = mu - (t / (1.0 + k * k) if k * k < math.inf else t / k / k)
+    if t < 0.5 * mu + 0.5 * sg * (sg / mu):
+        h = math.hypot(0.5 * mu, 0.5 * sg)
+        val = mu - t * (0.5 * mu / h) / h * (0.5 * mu)
         return WorstCaseValue(val, "0 <= t < (sigma^2+mu^2)/(2 mu)")
     return WorstCaseValue(_arbitrary_regret(mu, sg, t), "t >= (sigma^2+mu^2)/(2 mu)")
 
 
 def _arbitrary_regret(mu: float, sg: float, t: float) -> float:
-    """``(s + hypot(sigma, s)) / 2`` with ``s = mu - t``; for ``s < 0`` it is
-    ``sigma^2 / (2 (hypot(sigma, s) - s))``, which does not cancel, and is
-    taken at an eighth of the scale where that denominator leaves the floats."""
+    """``(s + hypot(sigma, s)) / 2`` with ``s = mu - t``.
+
+    For ``s >= 0`` it is evaluated as ``s/2 + hypot(sigma/2, s/2)``: both
+    terms are positive, ``s`` is within ``u`` and the hypot within ``3u``
+    (its own ``2u`` plus the rounding of ``s``), and the sum adds ``u``, so
+    the error is under 4 ulps.  For ``s < 0`` the sum cancels, and the
+    value is ``sigma^2 / (2 (hypot(sigma, s) - s))``, evaluated at an eighth
+    of the scale so that the denominator stays finite: ``hypot - s`` adds
+    two positive terms (within ``4u``), and a quotient and a product add
+    ``2u``, so the error is under 6 ulps.  Halving and taking an eighth are
+    exact wherever the result is a normal float.
+    """
     s = mu - t
-    r = math.hypot(sg, s)
     if s >= 0.0:
-        return 0.5 * (s + r)
-    if r - s < math.inf:
-        return sg * (sg / (r - s)) / 2.0
+        return 0.5 * s + math.hypot(0.5 * sg, 0.5 * s)
     e = 0.125 * mu - 0.125 * t
     return 0.125 * sg * (0.5 * sg / (math.hypot(0.125 * sg, e) - e))
 
@@ -288,19 +299,14 @@ def wc_target_semivariance_constrained(
         if r is None:
             raise _empty_set(p, t, lam, fam)
         return WorstCaseValue(*r)
-    mu, sg = p.mu, p.sigma
-    floor = _neg_part(mu - t)
+    floor = _neg_part(p.mu - t)
     # above the floor every set has a member; on it the family decides, and
     # the supremum is 0 (exact equality on purpose, see _symmetric_value)
     if lam < floor or (lam == floor and not set_nonempty(p, t, lam, fam)):
         raise _empty_set(p, t, lam, fam)
     if lam == floor:
         return WorstCaseValue(0.0, _ON_FLOOR)
-    try:
-        val = sg * sg + _pos_part(mu - t) ** 2
-    except OverflowError:  # a ** 2 beyond the floats
-        raise _not_finite(mu, sg, t) from None
-    return WorstCaseValue(val, "lambda > (mu-t)_-")
+    return WorstCaseValue(wc_target_semivariance(p, t, fam).value, "lambda > (mu-t)_-")
 
 
 def _empty_set(p: MomentProfile, t: float, lam: float, fam: Family) -> EmptyUncertaintySet:

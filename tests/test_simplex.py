@@ -256,6 +256,21 @@ class TestEepTsvS:
         with pytest.raises(InfeasibleBudget):
             eep_tsv_s_portfolio(m, t=0.0, lam=0.02)
 
+    # exactly on the floor lam = t - min mu, where the unit portfolio at min mu
+    # fits its symmetric set (sigma <= lam) and so scores 0; the walk's segment
+    # end at min mu tied it, and its rebuilt weights moved xi an ulp off min mu
+    # (seed 0 then raised NonConvergence, seed 7 EmptyUncertaintySet)
+    @pytest.mark.parametrize("seed,t", [(0, 0.4697141626814954), (7, 1.8436684510647563)])
+    def test_floor_answers_at_the_fitting_unit_portfolio(self, seed, t):
+        m = random_model(seed, 2)
+        j = int(np.argmin(m.mu_vec))
+        lam = t - float(m.mu_vec[j])
+        assert math.sqrt(float(m.cov[j, j])) <= lam
+        pf = eep_tsv_s_portfolio(m, t, lam)
+        assert (pf.objective, pf.regime) == (0.0, "lambda == (mu-t)_-")
+        np.testing.assert_array_equal(pf.weights, np.eye(2)[j])
+        assert pf.expected_loss == float(m.mu_vec[j])
+
 
 def test_certificate_rejects_ends_only_candidates(monkeypatch):
     # with only segment ends as candidates, every solve whose minimizer lies

@@ -242,43 +242,42 @@ def test_value_beyond_the_floats_raises_invalid_profile(measure, fam, huge):
                 evaluate(p, t, fam)
 
 
-BAND = "mu - sigma/2 <= t < mu + sigma/2"
-TAIL = "t >= (sigma^2+mu^2)/(2 mu)"
-
-
 def exact_regret(mu, sigma, t, fam):
-    """The symmetric or non-negative regret as (regime, value), the value
-    exact, or to 50 digits on the non-negative family's last branch."""
+    """The regret as (regime, value), the value exact, or to 50 digits where
+    it is the arbitrary form (every t of the arbitrary family, the last
+    branch of the non-negative one)."""
     m, s, t = Fraction(mu), Fraction(sigma), Fraction(t)
     if fam is SYM:
         if t < m - s / 2:
             return "t < mu - sigma/2", (8 * (m - t) ** 2 + s * s) / (8 * (m - t))
         if t < m + s / 2:
-            return BAND, (m + s - t) / 2
+            return "mu - sigma/2 <= t < mu + sigma/2", (m + s - t) / 2
         return "t >= mu + sigma/2", s * s / (8 * (t - m))
-    if t < 0:
-        return "t < 0", m - t
-    if t < (s * s + m * m) / (2 * m):
-        return "0 <= t < (sigma^2+mu^2)/(2 mu)", m - m * m * t / (s * s + m * m)
+    if fam is NN:
+        if t < 0:
+            return "t < 0", m - t
+        if t < (s * s + m * m) / (2 * m):
+            return "0 <= t < (sigma^2+mu^2)/(2 mu)", m - m * m * t / (s * s + m * m)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         gap, sd = Decimal(mu) - Decimal(float(t)), Decimal(sigma)
         root = (sd * sd + gap * gap).sqrt()
         # (gap + root) / 2, without its cancellation where gap < 0
-        return TAIL, Fraction((gap + root) / 2 if gap >= 0 else sd * sd / (2 * (root - gap)))
+        value = Fraction((gap + root) / 2 if gap >= 0 else sd * sd / (2 * (root - gap)))
+        return ("all t" if fam is ARB else "t >= (sigma^2+mu^2)/(2 mu)"), value
 
 
-@pytest.mark.parametrize("fam", [SYM, NN])
+@pytest.mark.parametrize("fam", [ARB, SYM, NN])
 def test_regret_answers_where_its_squares_leave_the_floats(fam):
     # magnitudes from 1e100 to 1e308, so squares overflow and nothing
     # underflows: the regret raises a domain error only where its exact value
-    # is beyond the floats and is otherwise within rounding of it.  The
-    # forms mu + sigma - t of the middle band and mu - t + hypot(sigma, mu - t)
-    # of the last branch cancel, and a branch chosen within rounding of its
-    # edge errs too, so those are held to the inputs' scale instead.  The
-    # first draws sit at the floats' edge, where mu - t itself overflows
+    # is beyond the floats and is otherwise within rounding of it, whichever
+    # branch rounding picks near an edge (the value is smooth across each).
+    # The first draws sit at the floats' edge, where mu - t itself overflows,
+    # or hypot(sigma, mu - t) or hypot(mu, sigma) would although the regret fits
     rng = np.random.default_rng(20)
     edges = [(1e308, 1e308, -1e308), (1e308, 1e308, 1.7e308), (1e308, 1.7e308, -1e308)]
+    edges += [(1e308, 1e308, 0.0), (1.3e308, 1.3e308, 0.0), (1.3e308, 1.3e308, 1e308)]
     if fam is SYM:
         edges += [(-1e308, 1e308, 1e308), (-1e308, 1.7e308, 1.7e308), (-1.7e308, 1e300, 1e308)]
     draws = []
@@ -295,11 +294,9 @@ def test_regret_answers_where_its_squares_leave_the_floats(fam):
             with pytest.raises(InvalidProfile, match="not finite"):
                 wc_expected_regret(profile(mu, sigma), t, fam)
             continue
-        got = wc_expected_regret(profile(mu, sigma), t, fam)
-        exact = got.regime == regime and regime not in (BAND, TAIL)
-        scale = value if exact else max(abs(mu), sigma, abs(t))
-        assert abs(Fraction(got.value) - value) <= 1e-15 * scale, (mu, sigma, t)
-        checked += exact
+        got = wc_expected_regret(profile(mu, sigma), t, fam).value
+        assert abs(Fraction(got) - value) <= 1e-15 * value, (mu, sigma, t)
+        checked += 1
     assert checked >= 1000
 
 
@@ -361,10 +358,11 @@ def test_regret_forms_that_cancelled_are_accurate(mu, sigma, t, fam):
 @pytest.mark.parametrize("fam", [ARB, SYM, NN])
 def test_regret_is_within_four_ulps_over_the_floats(fam):
     # magnitudes 1e-300 to 1e300, thresholds near mu, near the symmetric
-    # band's edges and anywhere; every branch of every family is within 4
-    # ulps of a 60-digit reference wherever the exact value is a normal float
+    # band's edges, near the non-negative split (sigma^2 + mu^2)/(2 mu) and
+    # anywhere; every branch of every family is within 4 ulps of a 60-digit
+    # reference wherever the exact value is a normal float
     rng = np.random.default_rng(22)
-    checked = 0
+    draws = []
     for _ in range(1500):
         mu, sigma, t = rng.choice((-1.0, 1.0), size=3) * 10.0 ** rng.uniform(-300, 300, size=3)
         mu, sigma = float(abs(mu) if fam is NN else mu), float(abs(sigma))
@@ -375,12 +373,18 @@ def test_regret_is_within_four_ulps_over_the_floats(fam):
             t = mu + float(rng.choice((-0.5, 0.5))) * sigma * (1.0 + float(rng.normal()) * 1e-15)
         elif u < 0.6:
             t = mu * (1.0 + float(rng.normal()) * 1e-12)
-        t = float(t)
-        err = regret_ulps(mu, sigma, t, fam)
+        draws.append((mu, sigma, float(t)))
+    for _ in range(600):
+        mu, sigma = (float(x) for x in 10.0 ** rng.uniform(-300, 300, size=2))
+        split = 0.5 * mu + 0.5 * sigma * (sigma / mu)
+        draws.append((mu, sigma, split * (1.0 + float(rng.normal()) * 1e-15)))
+    checked = 0
+    for mu, sigma, t in draws:
+        err = regret_ulps(mu, sigma, t, fam) if math.isfinite(t) else None
         if err is not None:
             assert err <= 4.0, (mu, sigma, t)
             checked += 1
-    assert checked >= 1200
+    assert checked >= 1700
 
 
 def test_symmetric_core_is_the_public_evaluators_bit_for_bit():
