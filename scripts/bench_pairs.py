@@ -9,7 +9,7 @@ directory; the change is a copy of this checkout's working tree (tracked and
 untracked files, less the ignored ones).  Pair ``i`` of a workload runs
 ``perfbench/run.py --workload W --seed i+1 --seconds 20 --trace 0`` once in
 each tree, one run at a time, the parent first on even ``i``: 10 pairs on
-``backtest``, then 5 on ``backtest-wide`` and 5 on ``verify``.
+``backtest``, then 10 on ``backtest-wide`` and 5 on ``verify``.
 
 ``BENCH_<PR>.json`` gets, per workload, each run's attempted
 and failed ops, pass count, speed-factor median (kernel time over its
@@ -34,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
-PLAN = (("backtest", 10), ("backtest-wide", 5), ("verify", 5))
+PLAN = (("backtest", 10), ("backtest-wide", 10), ("verify", 5))
 COMMAND = f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} --trace 0"
 METHOD = (
     "parent and change each run from a clean copy of its tree, one run at a time, alternating "

@@ -76,6 +76,7 @@ ORACLE_SLACK_UNCONSTRAINED = 1e-5
 ORACLE_SLACK_CONSTRAINED = 1e-5
 # the exact oracle spends no evaluation budget; --budget is still validated
 MIN_SEARCH_BUDGET = 10_000
+RIDGE_HELP = "auto or none: the automatic ridge 1e-8 * trace / d (none is not 0); or a number >= 0."
 
 
 def _fail(message: str):
@@ -308,7 +309,7 @@ def cmd_verify(grid_spec, family, constrained, budget, seed, out):
     default=None,
     help="Trailing estimation window (default: every loss row).",
 )
-@click.option("--ridge", default="auto", show_default=True, help="auto, none, or a number.")
+@click.option("--ridge", default="auto", show_default=True, help=RIDGE_HELP)
 def cmd_frontier(prices, window, ridge):
     """Print frontier coefficients and the minimum-variance portfolio as JSON."""
     try:
@@ -348,7 +349,7 @@ def cmd_frontier(prices, window, ridge):
     "--nu", type=FINITE_FLOAT, default=-0.001, show_default=True, help="Expected-loss cap."
 )
 @click.option("--window", type=click.IntRange(min=2), default=None)
-@click.option("--ridge", default="auto", show_default=True)
+@click.option("--ridge", default="auto", show_default=True, help=RIDGE_HELP)
 def cmd_optimize(prices, model_name, t, lam, nu, window, ridge):
     """Solve one portfolio rule on trailing sample moments; print JSON."""
     try:

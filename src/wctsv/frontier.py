@@ -68,9 +68,12 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 class MarketModel:
     """Asset identifiers with per-period loss mean vector and covariance.
 
-    Immutable: it holds read-only copies of the arrays it validated, so
-    results computed from a model (such as :func:`frontier_params`) stay
-    valid.
+    Immutable: its arrays are read-only, so results computed from a model
+    (such as :func:`frontier_params`) stay valid.  A model built here copies
+    the caller's arrays and checks them: finite, symmetric and positive
+    definite.  :func:`wctsv.market_data.estimate_moments` at its default
+    ridge instead hands over arrays it has just built and proved valid, and
+    :meth:`_frozen` marks them read-only in place.
     """
 
     assets: tuple[str, ...]
@@ -95,6 +98,15 @@ class MarketModel:
         if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL * scale:
             raise NotPositiveDefinite("covariance is not symmetric")
         _cholesky(cov)
+
+    @classmethod
+    def _frozen(cls, assets: tuple[str, ...], mu_vec: np.ndarray, cov: np.ndarray) -> MarketModel:
+        """A model on fresh arrays no one else holds, already proved valid:
+        made read-only in place, neither copied nor checked again."""
+        mu_vec.flags.writeable = cov.flags.writeable = False
+        model = object.__new__(cls)
+        model.__dict__.update(assets=assets, mu_vec=mu_vec, cov=cov)
+        return model
 
     @property
     def dim(self) -> int:

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 DEFAULT_RIDGE_SCALE = 1e-8
+# the smallest automatic ridge at which estimate_moments trusts its rounding
+# bound without the full checks: it dwarfs the d (w + 1) 2**-1074 < 5e-316
+# that underflowing products can add within the bound's sizes
+RIDGE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +141,21 @@ def load_price_panel(path) -> PricePanel:
 
 
 def compute_losses(panel: PricePanel) -> LossPanel:
-    """Fractional losses between consecutive rows; a gain is negative."""
+    """Fractional losses between consecutive rows; a gain is negative.
+
+    Finite positive prices can still overflow their ratio; such a loss
+    raises :class:`ParseError` at the line the later price has in the file
+    (line ``k + 3`` for loss row ``k``).
+    """
     if panel.close.shape[0] < 2:
         raise TooFewRows("need at least two price rows to form one loss")
     prev = panel.close[:-1]
-    losses = -(panel.close[1:] - prev) / prev
+    with np.errstate(over="ignore"):
+        losses = -(panel.close[1:] - prev) / prev
+    if not np.isfinite(losses).all():
+        k, j = np.argwhere(~np.isfinite(losses))[0]
+        message = f"loss for {panel.tickers[j]} on {panel.dates[k + 1]} is not finite"
+        raise ParseError(message, line=int(k) + 3)
     return LossPanel(dates=panel.dates[1:], tickers=panel.tickers, losses=losses)
 
 
@@ -156,6 +170,26 @@ def estimate_moments(
     is rejected outright when still not positive definite.  Equal means are
     left to :func:`wctsv.frontier.frontier_params`, as only the
     short-selling frontier needs them to differ.
+
+    At the default ridge the model is positive definite by arithmetic, so
+    its fresh arrays are frozen in place and not checked again.  With
+    ``u = 2**-53`` and ``g_k = k u / (1 - k u)``, the computed Gram matrix
+    of the computed deviations ``D`` is ``D^T D + E`` with
+    ``|E| <= g_w |D|^T |D|``, so ``||E||_2 <= g_w trace`` (Higham 2002,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.5).  With
+    the division, the trace, the ridge ``r`` and the diagonal add, the
+    model is a positive semidefinite matrix plus ``r I`` plus an error of
+    2-norm at most ``g_(w+2) trace + u r``.  Cholesky runs to completion
+    once the smallest eigenvalue exceeds ``d g_(d+1) / (1 - g_(d+1))``
+    times the largest diagonal entry (Demmel's condition, Higham 2002,
+    section 10.1), and ``r = 1e-8 trace / d`` covers both while
+    ``d (w + (d + 1)**2) < 9e7``, as ``1e-8 / u`` is 9.007e7.  ``numpy`` forms
+    ``dev.T @ dev`` as one symmetric product (syrk), so the matrix is
+    symmetric bit for bit.  The full checks of :class:`MarketModel` run
+    instead for an explicit ridge (0 included), a window past the size
+    bound, non-finite moments (losses above about 1e154 square to inf), and
+    a ridge below ``RIDGE_FLOOR`` or not finite, as underflow voids the
+    relative bounds.
     """
     n = panel.losses.shape[0]
     if not 0 <= end_index < n:
@@ -170,11 +204,19 @@ def estimate_moments(
         raise ValueError(f"ridge must be >= 0, got {ridge}")
 
     block = panel.losses[end_index - window + 1 : end_index + 1]
-    mu = block.mean(axis=0)
+    mu = np.add.reduce(block, axis=0) / window  # block.mean(axis=0), bit for bit
     dev = block - mu
-    cov = dev.T @ dev / (window - 1)
+    cov = dev.T @ dev
+    cov /= window - 1
     d = cov.shape[0]
-    if ridge is None:
+    trusted = ridge is None
+    if trusted:
         ridge = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d
-    cov = cov + ridge * np.eye(d)
+        trusted = RIDGE_FLOOR <= ridge < math.inf and d * (window + (d + 1) ** 2) < 9e7
+    # on the diagonal only: the Gram product leaves no -0.0 off it (a constant
+    # asset gives +0.0), so this is cov + ridge * eye bit for bit
+    cov.ravel()[:: d + 1] += ridge
+    # a finite ridge makes the trace, and so mu, finite; cov is checked whole
+    if trusted and np.isfinite(cov).all():
+        return MarketModel._frozen(panel.tickers, mu, cov)
     return MarketModel(assets=panel.tickers, mu_vec=mu, cov=cov)

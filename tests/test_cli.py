@@ -399,6 +399,23 @@ class TestBacktestCmd:
         assert res.exit_code == 1
         assert "failed on" in res.output
 
+    def test_overflowing_price_ratio_is_an_input_error(self, runner, tmp_path):
+        prices = tmp_path / "p.csv"
+        prices.write_text(
+            "date,A,B\n2024-01-01,1e-300,1.0\n2024-01-02,1e300,1.1\n"
+            "2024-01-03,1e300,1.2\n2024-01-04,1e300,1.3\n2024-01-05,1e300,1.4\n"
+        )
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("window = 3\n")
+        res = runner.invoke(
+            main,
+            ["backtest", "--prices", str(prices), "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # reported, not a traceback
+        assert "line 3: loss for A on 2024-01-02 is not finite" in res.output
+
     def test_config_parse_error_is_usage_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("not a config\n")

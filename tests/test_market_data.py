@@ -1,8 +1,12 @@
+import importlib.resources
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wctsv.frontier
 from wctsv import (
     NonPositivePrice,
     NotPositiveDefinite,
@@ -12,6 +16,8 @@ from wctsv import (
     WctsvError,
     WindowTooLarge,
 )
+from wctsv.backtest import BacktestConfig, run_backtest
+from wctsv.frontier import MarketModel
 from wctsv.market_data import (
     LossPanel,
     compute_losses,
@@ -146,6 +152,16 @@ class TestComputeLosses:
         with pytest.raises(TooFewRows):
             compute_losses(panel)
 
+    def test_overflowing_price_ratio_is_rejected_with_its_line(self, tmp_path):
+        text = "date,A,B\n2024-01-01,1e-300,1.0\n2024-01-02,1e300,1.1\n2024-01-03,1e300,1.2\n"
+        panel = load_price_panel(write_csv(tmp_path, text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(ParseError) as exc:
+                compute_losses(panel)
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: loss for A on 2024-01-02 is not finite"
+
     def test_back_compounding_round_trip(self, tmp_path):
         panel = load_price_panel(write_csv(tmp_path, GOOD))
         lp = compute_losses(panel)
@@ -212,3 +228,77 @@ class TestEstimateMoments:
         b = estimate_moments(lp, window=12, end_index=20)
         np.testing.assert_array_equal(a.mu_vec, b.mu_vec)
         np.testing.assert_array_equal(a.cov, b.cov)
+
+
+def bundled_losses():
+    sample = importlib.resources.files("wctsv") / "data" / "sample_prices.csv"
+    with importlib.resources.as_file(sample) as path:
+        return compute_losses(load_price_panel(path))
+
+
+def plain_moments(block):
+    """The estimator written the plain way: ``block.mean`` and ``cov + ridge * eye``."""
+    mu = block.mean(axis=0)
+    dev = block - mu
+    cov = dev.T @ dev / (block.shape[0] - 1)
+    d = cov.shape[0]
+    return mu, cov + 1e-8 * float(np.trace(cov)) / d * np.eye(d)
+
+
+def wide_losses(seed, rows=900, d=30):
+    """Seeded factor-model losses the size of a wide backtest's window."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(scale=0.006, size=(rows, 3))
+    return factors @ rng.normal(scale=0.6, size=(3, d)) + rng.normal(scale=0.006, size=(rows, d))
+
+
+class TestFrozenModels:
+    """At the default ridge the estimator freezes its own arrays instead of
+    copying and re-checking them; these pin that it still returns the
+    same bits and what the full checks guarantee."""
+
+    @pytest.mark.parametrize("source", ["bundled", 0, 1, 2, "constant asset"])
+    def test_same_bits_as_the_plain_formula(self, source):
+        if source == "bundled":
+            lp, window, days = bundled_losses(), 252, range(251, 329, 7)
+        else:
+            losses = wide_losses(0 if source == "constant asset" else source)
+            if source == "constant asset":  # +0.0 off the diagonal, as the plain formula gives
+                losses[:, 4] = 0.001
+            lp, window, days = loss_panel(losses), 755, range(754, 900, 29)
+        for k in days:
+            model = estimate_moments(lp, window, k)
+            mu, cov = plain_moments(lp.losses[k - window + 1 : k + 1])
+            assert model.mu_vec.tobytes() == mu.tobytes()
+            assert model.cov.tobytes() == cov.tobytes()
+
+    def test_covariance_is_symmetric_bit_for_bit_and_read_only(self):
+        for lp, window in ((bundled_losses(), 252), (loss_panel(wide_losses(3)), 755)):
+            model = estimate_moments(lp, window, window + 40)
+            # numpy forms dev.T @ dev as one symmetric product (syrk)
+            assert model.cov.tobytes() == model.cov.T.copy().tobytes()
+            assert not model.mu_vec.flags.writeable and not model.cov.flags.writeable
+            with pytest.raises(ValueError):
+                model.cov[0, 0] = 1.0
+
+    @pytest.mark.parametrize("ridge,factors", [(None, 0), (1e-8, 77)])
+    def test_bundled_backtest_factors_only_an_explicit_ridge(self, monkeypatch, ridge, factors):
+        calls = []
+        cholesky = wctsv.frontier._cholesky
+        monkeypatch.setattr(wctsv.frontier, "_cholesky", lambda cov: calls.append(1) or cholesky(cov))
+        result = run_backtest(bundled_losses(), BacktestConfig(ridge=ridge))
+        assert len(result.oos_dates) == 77
+        assert len(calls) == factors
+
+    def test_zero_trace_window_is_checked_and_rejected(self):
+        lp = loss_panel(np.full((12, 3), 0.25))  # the mean is exact, so every deviation is 0
+        with pytest.raises(NotPositiveDefinite):
+            estimate_moments(lp, window=10, end_index=11)
+
+    def test_external_model_copies_the_callers_arrays(self):
+        mu, cov = np.array([0.01, 0.02]), np.array([[1.0, 0.2], [0.2, 1.0]])
+        model = MarketModel(("A", "B"), mu, cov)
+        assert mu.flags.writeable and cov.flags.writeable
+        assert not np.shares_memory(model.cov, cov) and not np.shares_memory(model.mu_vec, mu)
+        cov[0, 1] = 5.0
+        assert model.cov[0, 1] == 0.2
